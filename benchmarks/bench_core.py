@@ -3,9 +3,11 @@
 
 Measures forward/backward throughput (elements per second) for the hot
 numeric primitives the evaluation grid spends its time in — dense and
-convolutional layers, the classification losses, and the gradient attacks —
-and cross-checks the vectorized implementations against straightforward
-per-position / per-row reference loops for **bitwise** agreement.
+convolutional layers, the classification losses, the gradient attacks and
+the graph-free CALLOC kernels — and cross-checks the vectorized
+implementations against straightforward per-position / per-row reference
+loops, and the CALLOC kernels against the autograd graph, for **bitwise**
+agreement.
 
 The identity checks are the point: every kernel here used to be a Python
 loop, and the vectorized replacements are only allowed to ship because they
@@ -43,6 +45,8 @@ from repro.attacks.base import GradientProvider, ThreatModel  # noqa: E402
 from repro.attacks.fgsm import FGSMAttack  # noqa: E402
 from repro.attacks.mim import MIMAttack  # noqa: E402
 from repro.attacks.pgd import PGDAttack  # noqa: E402
+from repro.core import CALLOCModel, kernels  # noqa: E402
+from repro.nn.fastpath import ce_target_matrix  # noqa: E402
 from repro.nn.layers import Conv1d, Linear, MaxPool1d, ReLU  # noqa: E402
 from repro.nn.losses import CrossEntropyLoss, MSELoss  # noqa: E402
 from repro.nn.tensor import Tensor  # noqa: E402
@@ -51,6 +55,10 @@ from repro.nn.tensor import Tensor  # noqa: E402
 NUM_APS = 165
 NUM_CLASSES = 61
 BATCH = 256
+#: CALLOC's rows per training step (TrainerConfig.batch_size) and per
+#: stacked ε × ø attack-grid gradient on the quick profile.
+CALLOC_TRAIN_ROWS = 32
+CALLOC_GRID_ROWS = 198
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +93,28 @@ def maxpool1d_loop(layer: MaxPool1d, inputs: Tensor) -> Tensor:
         window = inputs[:, :, start : start + layer.kernel_size]
         columns.append(window.max(axis=2))
     return Tensor.stack(columns, axis=2)
+
+
+def _calloc_model(rng: np.random.Generator) -> CALLOCModel:
+    """A CALLOC network at the benchmark geometry, moved off its init."""
+    model = CALLOCModel(
+        num_aps=NUM_APS,
+        num_classes=NUM_CLASSES,
+        reference_features=rng.random((NUM_CLASSES, NUM_APS)),
+        reference_positions=rng.random((NUM_CLASSES, 2)) * 30.0,
+        rng=np.random.default_rng(5),
+    )
+    for param in model.parameters():
+        param.data = param.data + rng.normal(0.0, 0.05, size=param.data.shape)
+    return model
+
+
+def _calloc_autograd_step(model: CALLOCModel, features, labels) -> float:
+    inputs = Tensor(features)
+    loss = CrossEntropyLoss()(model(inputs), labels)
+    loss = loss + model.embedding_reconstruction_loss(inputs) * 0.05
+    loss.backward()
+    return loss.item()
 
 
 class _QuadraticVictim:
@@ -177,6 +207,38 @@ def run_identity_checks(rng: np.random.Generator) -> Dict[str, bool]:
         batched = attack.perturb(features, labels, victim)
         rowwise = _attack_rowwise(attack, features, labels, victim)
         checks[f"attack_{name}_batched"] = _bitwise_equal(batched, rowwise)
+
+    # CALLOC: graph-free kernels == autograd graph.  Two identically built
+    # models take one training step each (same dropout/noise draws).
+    fused = _calloc_model(np.random.default_rng(1))
+    graph = _calloc_model(np.random.default_rng(1))
+    features = rng.random((CALLOC_TRAIN_ROWS, NUM_APS))
+    labels = rng.integers(0, NUM_CLASSES, size=CALLOC_TRAIN_ROWS)
+    targets = ce_target_matrix(labels, NUM_CLASSES, 0.0)
+    fused_loss = kernels.train_step(fused, features, targets, 0.05)
+    graph_loss = _calloc_autograd_step(graph, features, labels)
+    checks["calloc_train_step"] = (
+        _bitwise_equal(fused_loss, graph_loss)
+        and all(
+            _bitwise_equal(f.grad, g.grad)
+            for f, g in zip(fused.parameters(), graph.parameters())
+        )
+        and fused.original_embedding.noise.rng.bit_generator.state
+        == graph.original_embedding.noise.rng.bit_generator.state
+    )
+    # Input gradient one row past a block boundary, then logits (eval mode).
+    graph.eval()
+    rows = max(1, kernels.BLOCK_ELEMENTS // (NUM_CLASSES * NUM_APS)) + 1
+    features = rng.random((rows, NUM_APS))
+    labels = rng.integers(0, NUM_CLASSES, size=rows)
+    inputs = Tensor(features, requires_grad=True)
+    CrossEntropyLoss()(graph(inputs), labels).backward()
+    checks["calloc_input_grad"] = _bitwise_equal(
+        kernels.input_gradient(graph, features, labels), inputs.grad
+    )
+    checks["calloc_logits"] = _bitwise_equal(
+        kernels.logits(graph, features), graph(Tensor(features)).data
+    )
     return checks
 
 
@@ -267,12 +329,33 @@ def run_throughput(rng: np.random.Generator) -> Dict[str, Dict[str, float]]:
             lambda attack=attack: attack.perturb(features, labels, victim),
             BATCH * NUM_APS,
         )
+
+    model = _calloc_model(rng)
+    step_features = features[:CALLOC_TRAIN_ROWS]
+    step_targets = ce_target_matrix(labels[:CALLOC_TRAIN_ROWS], NUM_CLASSES, 0.0)
+
+    def calloc_train_step() -> None:
+        model.zero_grad()
+        kernels.train_step(model, step_features, step_targets, 0.05)
+
+    model.train()
+    ops["calloc_train_step"] = _throughput(calloc_train_step, CALLOC_TRAIN_ROWS * NUM_APS)
+    model.eval()
+    grid_features = rng.random((CALLOC_GRID_ROWS, NUM_APS))
+    grid_labels = rng.integers(0, NUM_CLASSES, size=CALLOC_GRID_ROWS)
+    ops["calloc_input_grad"] = _throughput(
+        lambda: kernels.input_gradient(model, grid_features, grid_labels),
+        CALLOC_GRID_ROWS * NUM_APS,
+    )
+    ops["calloc_predict"] = _throughput(
+        lambda: kernels.logits(model, features), BATCH * NUM_APS
+    )
     return ops
 
 
 def run_benchmark(output: Optional[Path] = None) -> Dict[str, object]:
     rng = np.random.default_rng(0)
-    print("identity checks (vectorized vs loop reference, bitwise) ...", flush=True)
+    print("identity checks (vectorized vs loop, fused vs autograd; bitwise) ...", flush=True)
     identity = run_identity_checks(rng)
     for name, passed in identity.items():
         print(f"  {name}: {'ok' if passed else 'MISMATCH'}")

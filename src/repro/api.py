@@ -642,7 +642,9 @@ class LocalizationService:
 
         ``batch`` is either a :class:`FingerprintDataset` or an array of
         normalised fingerprints, shape ``(n, num_aps)`` (a single fingerprint
-        of shape ``(num_aps,)`` is promoted to a batch of one).
+        of shape ``(num_aps,)`` is promoted to a batch of one).  A batch of
+        the wrong width, or with a NaN or infinite reading, raises
+        :class:`ValueError` before any guard or model sees it.
         """
         if not self.is_fitted:
             raise RuntimeError("LocalizationService must be fitted (or loaded) first")
@@ -660,6 +662,14 @@ class LocalizationService:
             raise ValueError(
                 f"fingerprints have {features.shape[1]} APs but "
                 f"'{self.model_name}' was fitted on {self._num_aps}"
+            )
+        # A NaN row would otherwise come back as RP 0 (argmax of all-NaN
+        # scores) with a null error estimate.
+        non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if non_finite.size:
+            raise ValueError(
+                f"{non_finite.size} fingerprint(s) hold NaN or infinite readings "
+                f"(rows {non_finite[:8].tolist()}{'…' if non_finite.size > 8 else ''})"
             )
         guard_flags: Optional[np.ndarray] = None
         if self.guard is not None:

@@ -24,10 +24,11 @@ from ..data.fingerprint import FingerprintDataset
 from ..interfaces import DifferentiableLocalizer
 from ..nn import CrossEntropyLoss, Tensor, no_grad
 from ..registry import register_localizer
+from . import kernels
 from .adaptive import AdaptiveConfig
 from .curriculum import Curriculum
 from .model import CALLOCModel
-from .trainer import CALLOCTrainer, TrainerConfig, TrainingReport
+from .trainer import CALLOCTrainer, TrainerConfig, TrainingReport, input_loss_gradient
 
 __all__ = ["CALLOC"]
 
@@ -167,34 +168,31 @@ class CALLOC(DifferentiableLocalizer):
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, features: np.ndarray) -> np.ndarray:
+    def _eval_logits(self, features: np.ndarray) -> np.ndarray:
+        """Evaluation-mode logits, graph-free whenever the model allows."""
         if self.model is None:
             raise RuntimeError("CALLOC must be fitted before prediction")
         self.model.eval()
+        features = np.asarray(features, dtype=np.float64)
+        if kernels.fusable(self.model, features):
+            return kernels.logits(self.model, features)
         with no_grad():
-            logits = self.model(Tensor(np.asarray(features, dtype=np.float64)))
-        return logits.data.argmax(axis=1)
+            return self.model(Tensor(features)).data
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return self._eval_logits(features).argmax(axis=1)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Softmax probabilities over reference-point classes."""
-        if self.model is None:
-            raise RuntimeError("CALLOC must be fitted before prediction")
-        self.model.eval()
-        with no_grad():
-            logits = self.model(Tensor(np.asarray(features, dtype=np.float64)))
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+        logits = self._eval_logits(features)
+        shifted = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(shifted)
         return exps / exps.sum(axis=1, keepdims=True)
 
     def loss_gradient(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("CALLOC must be fitted before computing gradients")
-        self.model.eval()
-        inputs = Tensor(np.asarray(features, dtype=np.float64), requires_grad=True)
-        logits = self.model(inputs)
-        loss = self._loss(logits, np.asarray(labels, dtype=np.int64))
-        loss.backward()
-        return inputs.grad.copy()
+        return input_loss_gradient(self.model, self._loss, features, labels)
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:

@@ -21,11 +21,19 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nn import Adam, CrossEntropyLoss, Tensor
+from ..nn.fastpath import ce_target_matrix
+from . import kernels
 from .adaptive import AdaptiveConfig, AdaptiveCurriculumController, LessonAction
 from .curriculum import Curriculum, Lesson, LessonBuilder
 from .model import CALLOCModel
 
-__all__ = ["TrainerConfig", "LessonRecord", "TrainingReport", "CALLOCTrainer"]
+__all__ = [
+    "TrainerConfig",
+    "LessonRecord",
+    "TrainingReport",
+    "CALLOCTrainer",
+    "input_loss_gradient",
+]
 
 
 @dataclass(frozen=True)
@@ -178,19 +186,31 @@ class CALLOCTrainer:
         batch_size = min(config.batch_size, num_samples)
         order = self._rng.permutation(num_samples)
         self.model.train()
+        fused = _fused(self.model, self._loss)
+        if fused:
+            # Row slices of the one-hot targets equal the per-batch build.
+            targets = ce_target_matrix(
+                labels, self.model.num_classes, self._loss.label_smoothing
+            )
         batch_losses: List[float] = []
         for start in range(0, num_samples, batch_size):
             batch = order[start : start + batch_size]
             optimizer.zero_grad()
-            inputs = Tensor(features[batch])
-            logits = self.model(inputs)
-            loss = self._loss(logits, labels[batch])
-            if config.reconstruction_weight > 0:
-                reconstruction = self.model.embedding_reconstruction_loss(inputs)
-                loss = loss + reconstruction * config.reconstruction_weight
-            loss.backward()
+            if fused:
+                batch_loss = kernels.train_step(
+                    self.model, features[batch], targets[batch], config.reconstruction_weight
+                )
+            else:
+                inputs = Tensor(features[batch])
+                logits = self.model(inputs)
+                loss = self._loss(logits, labels[batch])
+                if config.reconstruction_weight > 0:
+                    reconstruction = self.model.embedding_reconstruction_loss(inputs)
+                    loss = loss + reconstruction * config.reconstruction_weight
+                loss.backward()
+                batch_loss = loss.item()
             optimizer.step()
-            batch_losses.append(loss.item())
+            batch_losses.append(batch_loss)
         return float(np.mean(batch_losses))
 
     def _augment(self, features: np.ndarray) -> np.ndarray:
@@ -221,6 +241,27 @@ class CALLOCTrainer:
         return _ModelGradientView(self.model, self._loss)
 
 
+def _fused(
+    model: CALLOCModel, loss: CrossEntropyLoss, features: Optional[np.ndarray] = None
+) -> bool:
+    """Whether the graph-free kernels replicate ``model`` + ``loss`` exactly."""
+    return type(loss) is CrossEntropyLoss and kernels.fusable(model, features)
+
+
+def input_loss_gradient(
+    model: CALLOCModel, loss: CrossEntropyLoss, features: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Eval-mode gradient of ``loss`` w.r.t. ``features`` (leaves ``model`` in eval)."""
+    model.eval()
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if _fused(model, loss, features):
+        return kernels.input_gradient(model, features, labels, loss.label_smoothing)
+    inputs = Tensor(features, requires_grad=True)
+    loss(model(inputs), labels).backward()
+    return inputs.grad.copy()
+
+
 class _ModelGradientView:
     """Adapter exposing the CALLOC model's input gradients to the attacks."""
 
@@ -229,10 +270,6 @@ class _ModelGradientView:
         self._loss = loss
 
     def loss_gradient(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        self._model.eval()
-        inputs = Tensor(np.asarray(features, dtype=np.float64), requires_grad=True)
-        logits = self._model(inputs)
-        loss = self._loss(logits, np.asarray(labels, dtype=np.int64))
-        loss.backward()
+        gradient = input_loss_gradient(self._model, self._loss, features, labels)
         self._model.train()
-        return inputs.grad.copy()
+        return gradient

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -657,10 +658,35 @@ def simulate_campaign(
     return campaign, digest
 
 
+def _explicit_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+    """``params`` without the entries that restate a constructor default.
+
+    Spelling a default out (the ablation's ``{"adaptive": True}`` for CALLOC)
+    builds the same model, so it must not key a second, bit-identical
+    artefact.  Only a value of the default's own type that compares equal as
+    a plain ``bool`` (not an elementwise array) counts as restating it.
+    """
+    signature = inspect.signature(LOCALIZERS.get(name))
+    defaults = {
+        parameter.name: parameter.default
+        for parameter in signature.parameters.values()
+        if parameter.default is not inspect.Parameter.empty
+    }
+    return {
+        key: value
+        for key, value in params.items()
+        if not (
+            key in defaults
+            and type(value) is type(defaults[key])
+            and (value == defaults[key]) is True
+        )
+    }
+
+
 def _model_payload(task: ModelTask, campaign_digest: str) -> Dict[str, Any]:
     payload = {
         "model": task.name,
-        "params": task.param_dict,
+        "params": _explicit_params(task.name, task.param_dict),
         "campaign": campaign_digest,
     }
     # Only defenses that actually change training extend the payload:

@@ -10,13 +10,18 @@ import numpy as np
 import pytest
 
 from repro.eval import (
+    ArtifactCache,
     EvaluationConfig,
+    ModelTask,
+    ablation_adaptive,
     fig1_attack_impact,
+    fig4_heatmaps,
     fig5_curriculum,
     table1_devices,
     table2_buildings,
     table3_model_budget,
 )
+from repro.eval.engine import _model_payload, cache_key
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +76,38 @@ class TestFigures:
         assert len(curves["CALLOC"]) == len(micro_config.epsilons)
         assert len(curves["NC"]) == len(micro_config.epsilons)
         assert all(np.isfinite(curves["CALLOC"]))
+
+
+class TestModelDigestSharing:
+    """Spelling out a constructor default must not retrain the same model."""
+
+    @staticmethod
+    def _model_artefacts(cache: ArtifactCache) -> int:
+        return sum(1 for path in (cache.root / "model").rglob("*") if path.is_file())
+
+    def test_ablation_reuses_the_default_calloc(self, micro_config, tmp_path):
+        shared = ArtifactCache(tmp_path / "shared")
+        fig4 = fig4_heatmaps(micro_config, cache=shared)
+        assert self._model_artefacts(shared) == 1
+        ablation = ablation_adaptive(micro_config, cache=shared)
+        # CALLOC-adaptive hits fig4's CALLOC; only CALLOC-static trains.
+        assert self._model_artefacts(shared) == 2
+
+        alone = ablation_adaptive(micro_config, cache=ArtifactCache(tmp_path / "alone"))
+        assert ablation["results"].to_rows() == alone["results"].to_rows()
+        adaptive = [
+            {**row, "model": "CALLOC"}
+            for row in ablation["results"].filter(model="CALLOC-adaptive").to_rows()
+        ]
+        assert adaptive == fig4["results"].to_rows()
+
+    def test_only_restated_defaults_are_dropped(self):
+        def digest(params):
+            return cache_key("model", _model_payload(ModelTask.create("x", "CALLOC", params), "c"))
+
+        assert digest({"adaptive": True}) == digest({})
+        assert digest({"adaptive": False}) != digest({})
+        # Another type is not a restatement (1 is not the default True).
+        assert digest({"adaptive": 1}) != digest({})
+        assert digest({"adaptive": True, "lr": 0.01}) == digest({"lr": 0.01})
+

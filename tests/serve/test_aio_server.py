@@ -137,6 +137,13 @@ class TestErrorMapping:
         with pytest.raises(RuntimeError, match="400.*APs"):
             client.localize(np.zeros((1, 3)), model="knn")
 
+    def test_non_finite_fingerprint_is_400(self, aio_server, tiny_campaign):
+        features = tiny_campaign.test_for("S7").features[:2].copy()
+        features[0, 3] = np.inf
+        with ServiceClient(aio_server.base_url, content_type=CONTENT_NDARRAY) as client:
+            with pytest.raises(RuntimeError, match=r"400.*NaN or infinite.*rows \[0\]"):
+                client.localize(features, model="knn")
+
     def test_malformed_json_is_400(self, aio_server):
         assert self._post(aio_server, b"{not json", "application/json") == 400
 

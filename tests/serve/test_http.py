@@ -96,6 +96,12 @@ class TestLocalizeEndpoint:
         with pytest.raises(RuntimeError, match="400.*APs"):
             client.localize(np.zeros((1, 3)), model="knn")
 
+    def test_non_finite_fingerprint_is_400(self, client, tiny_campaign):
+        features = tiny_campaign.test_for("S7").features[:2].copy()
+        features[1, 0] = np.nan
+        with pytest.raises(RuntimeError, match=r"400.*NaN or infinite.*rows \[1\]"):
+            client.localize(features, model="knn")
+
     def test_malformed_json_is_400(self, client):
         request = urllib.request.Request(
             f"{client.base_url}/v1/localize",

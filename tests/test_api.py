@@ -258,6 +258,15 @@ class TestLocalizationService:
         with pytest.raises(ValueError, match="APs"):
             service.localize(np.zeros((2, tiny_campaign.train.num_aps + 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_rejected_by_index(self, tiny_campaign, bad):
+        service = LocalizationService("KNN").fit(tiny_campaign.train)
+        features = tiny_campaign.test_for("S7").features[:5].copy()
+        features[1, 0] = bad
+        features[3, -1] = bad
+        with pytest.raises(ValueError, match=r"2 fingerprint\(s\).*rows \[1, 3\]"):
+            service.localize(features)
+
     def test_partial_predict_proba_never_misaligns(self, tiny_campaign):
         """Regression: a model returning proba for some chunks and None for
         others must not silently misalign probabilities with labels."""
