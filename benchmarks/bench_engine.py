@@ -1,19 +1,16 @@
 #!/usr/bin/env python
-"""Benchmark harness for the parallel, cache-aware evaluation engine.
+"""Benchmark harness for the cache-aware evaluation engine.
 
 Times the quick-profile evaluation grid through
-:class:`repro.eval.engine.ExecutionEngine` under four execution modes:
+:func:`repro.api.run_experiment` under four execution modes:
 
 ``serial_cold``
-    ``jobs=1``, no cache — the legacy serial path and the baseline every
-    speedup is measured against.
+    ``jobs=1``, no cache — the in-process serial engine and the baseline
+    every speedup is measured against.
 ``parallel_cold``
     ``jobs=N`` (N = ``--jobs``, default ``min(4, cpu_count)``), no cache —
-    isolates the process-pool speedup.
-``thread_cold``
-    ``jobs=N`` with ``executor="thread"``, no cache — the thread-pool
-    transport (no pickling at all; numpy releases the GIL in the heavy
-    kernels).
+    N spawned queue workers draining a throwaway run ledger, sharing
+    artefacts through a temporary cache.
 ``cached_cold``
     ``jobs=1`` against a fresh cache directory — measures the one-time cost
     of populating the on-disk artefact cache.
@@ -32,10 +29,10 @@ performance trajectory to compare against::
 Exit status is non-zero when results diverge between modes, when the best
 speedup (parallel or warm-cache) falls below ``--min-speedup`` (default 2.0;
 pass 0 to disable the gate), or — on machines with at least two CPUs —
-when the process-pool path fails to beat serial by ``--min-parallel``
+when the queue path fails to beat serial by ``--min-parallel``
 (default 1.5).  On a single-core box parallel execution cannot win by
 construction, so the parallel gate degrades to a no-pessimisation check:
-the pool overhead must stay under ``1/min-parallel`` of the serial time.
+the queue overhead must stay under ``1/min-parallel`` of the serial time.
 """
 
 from __future__ import annotations
@@ -60,11 +57,9 @@ from repro.api import PROFILES, ExperimentSpec, run_experiment  # noqa: E402
 DEFAULT_MODELS = ("KNN", "DNN", "AdvLoc", "WiDeep")
 
 
-def _time_run(
-    spec: ExperimentSpec, jobs: int, cache: object, executor: str = "process"
-) -> tuple:
+def _time_run(spec: ExperimentSpec, jobs: int, cache: object) -> tuple:
     start = time.perf_counter()
-    results = run_experiment(spec, jobs=jobs, cache=cache, executor=executor)
+    results = run_experiment(spec, jobs=jobs, cache=cache)
     elapsed = time.perf_counter() - start
     return elapsed, results.to_records()
 
@@ -79,7 +74,7 @@ def run_benchmark(
     if profile not in PROFILES:
         raise SystemExit(f"unknown profile '{profile}'; expected one of {sorted(PROFILES)}")
     if jobs <= 0:
-        # At least 2 workers so the process-pool path is always exercised
+        # At least 2 workers so the queue path is always exercised
         # (and cross-checked for bit-identity), even on single-core boxes.
         jobs = max(2, min(4, os.cpu_count() or 1))
     spec = ExperimentSpec(models=tuple(models), profile=profile, name="bench_engine")
@@ -108,12 +103,6 @@ def run_benchmark(
     timings["parallel_cold"], records["parallel_cold"] = _time_run(spec, jobs, False)
     print(f"  {timings['parallel_cold']:.2f}s")
 
-    print(f"thread_cold   (jobs={jobs}, threads, no cache) ...", flush=True)
-    timings["thread_cold"], records["thread_cold"] = _time_run(
-        spec, jobs, False, executor="thread"
-    )
-    print(f"  {timings['thread_cold']:.2f}s")
-
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         print("cached_cold   (jobs=1, fresh cache) ...", flush=True)
         timings["cached_cold"], records["cached_cold"] = _time_run(spec, 1, cache_dir)
@@ -127,7 +116,6 @@ def run_benchmark(
     identical = {mode: rows == reference for mode, rows in records.items()}
     speedups = {
         "parallel_vs_serial": timings["serial_cold"] / max(timings["parallel_cold"], 1e-9),
-        "thread_vs_serial": timings["serial_cold"] / max(timings["thread_cold"], 1e-9),
         "warm_cache_vs_serial": timings["serial_cold"] / max(timings["cached_warm"], 1e-9),
         "cached_cold_overhead": timings["cached_cold"] / max(timings["serial_cold"], 1e-9),
     }
@@ -164,15 +152,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="registry names of the models in the grid")
     parser.add_argument("--profile", default="quick", choices=sorted(PROFILES))
     parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for parallel_cold "
+                        help="queue workers for parallel_cold "
                         "(default: max(2, min(4, cpus)))")
     parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_engine.json")
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="fail unless max(parallel, warm-cache) speedup reaches "
                         "this factor (0 disables the gate)")
     parser.add_argument("--min-parallel", type=float, default=1.5,
-                        help="with >=2 CPUs, fail unless the process pool beats "
-                        "serial by this factor; with 1 CPU, fail if pool overhead "
+                        help="with >=2 CPUs, fail unless the queue workers beat "
+                        "serial by this factor; with 1 CPU, fail if queue overhead "
                         "pushes parallel past 1/this of serial (0 disables)")
     args = parser.parse_args(argv)
 
@@ -200,9 +188,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 1
         if cpus < 2 and parallel < 1.0 / args.min_parallel:
-            # One core: a pool cannot win, but cheap transport means it must
-            # not lose badly either — this is the regression this benchmark
-            # exists to catch (parallel used to run *slower* than serial).
+            # One core: N workers cannot win, but they must not lose badly
+            # either — this is the regression this benchmark exists to catch
+            # (parallel used to run *slower* than serial).
             print(
                 f"FAIL: parallel ran {1.0 / max(parallel, 1e-9):.2f}x slower than "
                 f"serial on a single CPU (transport overhead regression)",

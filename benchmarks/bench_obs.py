@@ -199,9 +199,7 @@ def check_identity(
     trace.set_enabled(True)
     try:
         serial = run_experiment(spec, cache=False).to_records()
-        threaded = run_experiment(
-            spec, cache=False, jobs=2, executor="thread"
-        ).to_records()
+        parallel = run_experiment(spec, cache=False, jobs=2).to_records()
 
         with tempfile.TemporaryDirectory(prefix="repro-bench-obs-queue-") as tmp:
             cache = ArtifactCache(Path(tmp) / "cache")
@@ -232,7 +230,7 @@ def check_identity(
         trace.set_enabled(True)
 
     return {
-        "jobs1_vs_jobs2": serial == threaded,
+        "jobs1_vs_jobs2": serial == parallel,
         "serial_vs_queue_drain": serial == queued,
         "http_vs_direct": bool(
             np.array_equal(via_http.labels, direct.labels)

@@ -23,8 +23,8 @@ Localization.  The package provides:
   published through (``@register_localizer`` / ``@register_attack``,
   :func:`make_localizer` / :func:`make_attack`);
 * :mod:`repro.api` — the declarative entry point: serializable
-  :class:`ExperimentSpec` experiments executed by
-  :func:`run_experiment` / :meth:`ExperimentRunner.run`, and the
+  :class:`ExperimentSpec` experiments executed by :func:`run_experiment`
+  (in-process, or by queue workers at ``jobs>1``), and the
   :class:`LocalizationService` facade for the online phase;
 * :mod:`repro.serve` — the production serving layer: the versioned
   :class:`ModelStore` (``publish``/``resolve``/``promote``), the
@@ -87,7 +87,7 @@ from .registry import (
 from .queue import QueueWorker, RunLedger, WorkerOptions, collect_results
 from .serve import Gateway, MicroBatcher, ModelStore, ServiceClient
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CALLOC",

@@ -1,8 +1,8 @@
 """R1 — determinism: no unseeded randomness or wall-clock in hot paths.
 
 Every reproducibility guarantee the engine stakes its results on (jobs=1 ==
-jobs=N == threads == queue workers, warm cache == cold) holds because all
-randomness flows from seeded :class:`numpy.random.Generator` instances
+jobs=N queue workers == a resumed drain, warm cache == cold) holds because
+all randomness flows from seeded :class:`numpy.random.Generator` instances
 derived via ``default_rng``/``stable_seed``.  One bare ``np.random.normal``
 or ``random.random()`` on a hot path silently breaks bit-identity; one
 ``time.time()`` feeding a result or a cache key breaks it across runs.

@@ -6,9 +6,8 @@ X, attack it with Y, evaluate on Z" into *data*:
 * :class:`ModelSpec` / :class:`ExperimentSpec` — a serializable description
   of an experiment (models, buildings, devices, attack scenarios, profile),
   round-trippable through ``to_dict``/``from_dict`` and JSON;
-* :func:`run_experiment` — executes a spec through
-  :class:`~repro.eval.runner.ExperimentRunner` and returns a
-  :class:`~repro.eval.runner.ResultSet`;
+* :func:`run_experiment` — executes a spec, in-process or through queue
+  workers, and returns a :class:`~repro.eval.runner.ResultSet`;
 * :class:`LocalizationService` — the online-phase facade: ``fit`` once, then
   ``localize`` batches of fingerprints into coordinates plus an error
   estimate, and ``save``/``load`` the fitted model through
@@ -39,7 +38,7 @@ import numpy as np
 from .data.fingerprint import FingerprintDataset
 from .defenses.base import Defense, DefenseSpec, GuardRejectedError
 from .eval.robustness import ScenarioSpec
-from .eval.runner import ExperimentRunner, ResultSet
+from .eval.runner import ResultSet
 from .eval.scenarios import AttackScenario, EvaluationConfig
 from .interfaces import ErrorSummary, Localizer
 from .nn.serialization import load_state_dict, save_state_dict
@@ -425,27 +424,91 @@ def run_experiment(
     config: Optional[EvaluationConfig] = None,
     jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> ResultSet:
     """Execute a declarative experiment spec and return its results.
 
-    ``config`` overrides the spec's profile when given (the runner's cache of
-    simulated campaigns can then be shared across specs by reusing one
-    :class:`ExperimentRunner` via :meth:`ExperimentRunner.run`).
+    ``jobs=1`` runs the plan in-process through
+    :class:`~repro.eval.engine.ExecutionEngine`, under ``config`` when given
+    and the spec's profile otherwise.  ``jobs>1`` submits the spec to a run
+    ledger under a fresh run id and drains it with that many spawned queue
+    workers (:func:`repro.queue.work`); the ledger is removed afterwards,
+    also on failure.  Workers rebuild the plan from the spec alone, so a
+    ``config`` other than ``spec.config()`` is rejected there, and a script
+    that passes ``jobs>1`` must call this under an
+    ``if __name__ == "__main__":`` guard (spawned workers re-import the main
+    module).
 
-    ``jobs`` fans independent work units (campaign simulation, model
-    training, attacked scoring) out over that many workers — processes by
-    default, or threads with ``executor="thread"`` (cheaper startup, best
-    when numpy releases the GIL for most of the work).  ``cache`` enables
-    the on-disk artefact cache (``True``, a directory path, or an
-    :class:`~repro.eval.engine.ArtifactCache`).  Results are bit-identical
-    for every combination of ``jobs``, ``executor`` and cache state.
+    ``cache`` enables the on-disk artefact cache (``True``, a directory
+    path, or an :class:`~repro.eval.engine.ArtifactCache`).  With caching
+    off, the workers of a ``jobs>1`` run share artefacts through a temporary
+    cache that is deleted afterwards.  Results are bit-identical for every
+    job count and cache state.
     """
+    from .eval.engine import ExecutionEngine
+
     spec.validate()
-    runner = ExperimentRunner(
-        config or spec.config(), jobs=jobs, cache=cache, executor=executor
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
+        if config is not None and config != spec.config():
+            raise ValueError(
+                "jobs>1 runs every queue worker under the spec's own profile; "
+                "pass config=None or run a custom config with jobs=1"
+            )
+        return _run_on_queue(spec, jobs, cache)
+    config = config or spec.config()
+    return ExecutionEngine(config, cache=cache).run(
+        spec.resolve_model_tasks(config),
+        spec.resolve_scenarios(config),
+        buildings=spec.buildings,
+        devices=spec.devices,
+        robustness=spec.resolve_robustness(config),
     )
-    return runner.run(spec)
+
+
+def _run_on_queue(spec: ExperimentSpec, jobs: int, cache: object) -> ResultSet:
+    """Drain ``spec`` with ``jobs`` queue workers over a throwaway run ledger."""
+    import contextlib
+    import shutil
+    import tempfile
+    import uuid
+
+    from . import queue
+    from .eval.engine import ArtifactCache
+
+    with contextlib.ExitStack() as cleanup:
+        store = ArtifactCache.coerce(cache)
+        if store is None:
+            store = ArtifactCache(
+                cleanup.enter_context(tempfile.TemporaryDirectory(prefix="repro-jobs-"))
+            )
+        run_id = f"jobs-{uuid.uuid4().hex[:12]}"
+        cleanup.callback(
+            shutil.rmtree, queue.queue_root(store) / run_id, ignore_errors=True
+        )
+        ledger = queue.RunLedger.submit(spec, store, run_id=run_id)
+        queue.work(store, run_id, workers=jobs)
+        states = ledger.states()
+        for entry in ledger.units:
+            state = states[entry.id]
+            if state.state == queue.STATE_DONE:
+                continue
+            message = (
+                f"jobs={jobs} run stopped at unit {entry.id} ({entry.title}): "
+                f"{state.state}"
+            )
+            if state.error:
+                message += (
+                    f" after {state.attempts} attempt(s), last error:\n{state.error}"
+                )
+            if state.state == queue.STATE_PENDING:
+                message += (
+                    "\nthe queue workers exited before running it; they are spawned "
+                    "processes that re-import the main module, so a script that "
+                    "passes jobs>1 must do so under `if __name__ == \"__main__\":`"
+                )
+            raise RuntimeError(message)
+        return queue.collect_results(ledger)
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,10 @@ from .base import Attack, GradientProvider, ThreatModel, no_attack, select_targe
 from .fgsm import FGSMAttack
 from .mim import MIMAttack
 from .mitm import (
-    ATTACK_REGISTRY,
     MITMScenario,
     SignalManipulationAttack,
     SignalSpoofingAttack,
     attack_dataset,
-    make_attack,
     replay_survey,
 )
 from .pgd import PGDAttack
@@ -30,8 +28,6 @@ __all__ = [
     "FGSMAttack",
     "PGDAttack",
     "MIMAttack",
-    "ATTACK_REGISTRY",
-    "make_attack",
     "MITMScenario",
     "SignalManipulationAttack",
     "SignalSpoofingAttack",

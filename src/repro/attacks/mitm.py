@@ -16,74 +16,22 @@ measurement survives underneath the perturbation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Type
+from typing import Optional
 
 import numpy as np
 
 from ..data.fingerprint import FingerprintDataset, denormalize_rss, normalize_rss
-from ..registry import ATTACKS, register_attack
+from ..registry import make_attack, register_attack
 from .base import Attack, GradientProvider, ThreatModel
-from .fgsm import FGSMAttack
-from .mim import MIMAttack
-from .pgd import PGDAttack
 
 __all__ = [
-    "ATTACK_REGISTRY",
-    "make_attack",
     "replay_survey",
     "SignalManipulationAttack",
     "SignalSpoofingAttack",
     "MITMScenario",
     "attack_dataset",
 ]
-
-class _DeprecatedAttackRegistry(Dict[str, Type[Attack]]):
-    """Dict shim that warns on lookups but stays behaviour-identical.
-
-    Only the lookup paths (``[]``/``get``) warn; iteration and containment
-    stay silent so legacy code that merely introspects the mapping is not
-    flooded with warnings.
-    """
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "ATTACK_REGISTRY is deprecated; use repro.registry.ATTACKS "
-            "(make_attack / available_attacks)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> Type[Attack]:
-        self._warn()
-        return super().__getitem__(key)
-
-    def get(self, key: str, default=None):
-        self._warn()
-        return super().get(key, default)
-
-
-#: Deprecated shim: crafting methods by name.  The source of truth is now
-#: :data:`repro.registry.ATTACKS`; register new methods with
-#: ``@register_attack(name, tags=("crafting",))`` instead of editing a dict.
-ATTACK_REGISTRY: Dict[str, Type[Attack]] = _DeprecatedAttackRegistry(
-    {
-        "FGSM": FGSMAttack,
-        "PGD": PGDAttack,
-        "MIM": MIMAttack,
-    }
-)
-
-
-def make_attack(method: str, threat_model: ThreatModel, **kwargs) -> Attack:
-    """Deprecated shim for :func:`repro.registry.make_attack`.
-
-    Kept so existing call sites (``make_attack("FGSM", threat)``) continue to
-    work; lookups are case-insensitive and unknown names raise
-    :class:`~repro.registry.RegistryError` (a :class:`KeyError`), as before.
-    """
-    return ATTACKS.create(method, threat_model, **kwargs)
 
 
 @register_attack("MITM-manipulation", tags=("mitm",), aliases=("manipulation",))

@@ -3,14 +3,13 @@
 Includes the classical models used in Fig. 1 (KNN, GPC, DNN) and the
 advanced frameworks of the Fig. 6/7 comparison (AdvLoc, SANGRIA, ANVIL,
 WiDeep), plus the substrates they need (gradient-boosted trees and
-autoencoders).  :func:`make_baseline` builds any of them by name.
+autoencoders).  :func:`repro.registry.make_localizer` builds any of them by
+name.
 """
 
-import warnings
 from typing import Callable, Dict
 
 from ..interfaces import DifferentiableLocalizer, Localizer
-from ..registry import make_localizer
 from .advloc import AdvLocLocalizer
 from .anvil import ANVILLocalizer
 from .autoencoder import DenoisingAutoencoder, StackedAutoencoder
@@ -42,7 +41,6 @@ __all__ = [
     "DecisionTreeRegressor",
     "GradientBoostedClassifier",
     "BASELINE_REGISTRY",
-    "make_baseline",
 ]
 
 #: Deprecated shim: baseline factories keyed by figure/paper name.  The source
@@ -60,19 +58,3 @@ BASELINE_REGISTRY: Dict[str, Callable[..., Localizer]] = {
     "SANGRIA": SANGRIALocalizer,
     "WiDeep": WiDeepLocalizer,
 }
-
-
-def make_baseline(name: str, **kwargs) -> Localizer:
-    """Deprecated shim for :func:`repro.registry.make_localizer`.
-
-    Kept so existing call sites (``make_baseline("KNN", k=3)``) continue to
-    work; lookups are now case-insensitive and unknown names raise
-    :class:`~repro.registry.RegistryError` (a :class:`KeyError`), as before.
-    Emits :class:`DeprecationWarning` — build models through the registry.
-    """
-    warnings.warn(
-        "make_baseline is deprecated; use repro.registry.make_localizer",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_localizer(name, **kwargs)

@@ -6,8 +6,8 @@ controller, the curriculum trainer, and the high-level :class:`CALLOC`
 localizer.
 """
 
+from ..defenses.curriculum import Curriculum, Lesson, LessonBuilder
 from .adaptive import AdaptiveConfig, AdaptiveCurriculumController, LessonAction
-from .curriculum import Curriculum, Lesson, LessonBuilder
 from .embedding import CurriculumEmbedding, OriginalEmbedding
 from .localizer import CALLOC
 from .model import CALLOCModel

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .curriculum import Lesson
+from ..defenses.curriculum import Lesson
 
 __all__ = ["LessonAction", "AdaptiveConfig", "AdaptiveCurriculumController"]
 

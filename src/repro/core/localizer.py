@@ -21,12 +21,12 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
+from ..defenses.curriculum import Curriculum
 from ..interfaces import DifferentiableLocalizer
 from ..nn import CrossEntropyLoss, Tensor, no_grad
 from ..registry import register_localizer
 from . import kernels
 from .adaptive import AdaptiveConfig
-from .curriculum import Curriculum
 from .model import CALLOCModel
 from .trainer import CALLOCTrainer, TrainerConfig, TrainingReport, input_loss_gradient
 

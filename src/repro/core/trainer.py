@@ -4,7 +4,7 @@ The trainer walks the model through the curriculum lesson by lesson.  For
 every lesson it:
 
 1. materialises the lesson data (FGSM self-attack at the lesson's ε/ø, mixed
-   with clean data) via :class:`~repro.core.curriculum.LessonBuilder`;
+   with clean data) via :class:`~repro.defenses.curriculum.LessonBuilder`;
 2. trains for up to ``epochs_per_lesson`` epochs of mini-batch Adam on the
    classification loss (plus a small embedding reconstruction term);
 3. reports each epoch loss to the
@@ -20,11 +20,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..defenses.curriculum import Curriculum, Lesson, LessonBuilder
 from ..nn import Adam, CrossEntropyLoss, Tensor
 from ..nn.fastpath import ce_target_matrix
 from . import kernels
 from .adaptive import AdaptiveConfig, AdaptiveCurriculumController, LessonAction
-from .curriculum import Curriculum, Lesson, LessonBuilder
 from .model import CALLOCModel
 
 __all__ = [

@@ -25,7 +25,7 @@ referenced declaratively through :class:`DefenseSpec` — in
 :class:`repro.api.ExperimentSpec` (``defenses=("curriculum",)``), on the CLI
 (``repro run --defense curriculum``), and in the execution engine, where a
 defended training unit is cached content-addressed under a key embedding the
-full defense spec (``jobs=1`` ≡ ``jobs=N``, cold ≡ warm cache).
+full defense spec (in-process ≡ queue-drained ``jobs=N``, cold ≡ warm cache).
 
 Adding a defense family::
 

@@ -14,11 +14,11 @@ The curriculum is a sequence of 10 lessons of increasing difficulty:
 :class:`Curriculum` only *describes* the lessons; :class:`LessonBuilder`
 materialises a lesson into training data by attacking the clean fingerprints
 with the model's own gradients (white-box self-attack).  Both originated in
-``repro.core.curriculum`` welded to the CALLOC trainer; they live here now so
-that :class:`CurriculumAdversarialDefense` can walk *any* gradient-capable
+``repro.core`` welded to the CALLOC trainer; they live here now so that
+:class:`CurriculumAdversarialDefense` can walk *any* gradient-capable
 localizer (DNN, CNN, ANVIL, AdvLoc, …) through the same lesson sequence.
-CALLOC keeps importing them through the ``repro.core.curriculum`` shim, so
-its own training path — and therefore its results — are unchanged.
+CALLOC's trainer imports them from here, so its own training path — and
+therefore its results — are unchanged.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Parallel, cache-aware execution engine for the evaluation grid.
+"""Cache-aware execution engine for the evaluation grid.
 
 The paper's evaluation is one big product grid — models × buildings ×
 devices × attack scenarios — that :class:`~repro.eval.runner.ExperimentRunner`
 used to walk with nested serial loops, re-simulating campaigns and retraining
 models at every operating point.  This module decomposes that grid into a
-flat DAG of *work units* and executes independent units concurrently:
+flat DAG of *work units*:
 
 ``CampaignUnit``
     Simulate the fingerprint campaign of one building (no dependencies).
@@ -23,14 +23,18 @@ flat DAG of *work units* and executes independent units concurrently:
     the campaign and train their own model under a scenario-specific
     cache key.
 
-Two properties make the engine safe to parallelise:
+:class:`ExecutionEngine` runs a plan in-process, unit by unit in dependency
+order.  The same units are the work items of the campaign queue
+(:mod:`repro.queue`), which :func:`execute_unit` serves one at a time; a
+``jobs>1`` run is N queue workers draining a throwaway run ledger.  Two
+properties make every way of running a plan agree:
 
 * **Deterministic per-unit seeding** — every unit derives all of its
   randomness from seeds carried by its inputs (campaign seed, model seed,
   per-scenario attack seed), never from shared mutable RNG state.  A unit
   therefore computes bit-identical results whether it runs in-process, in a
-  worker, or in a different order relative to its siblings.  ``jobs=1`` and
-  ``jobs=N`` produce byte-for-byte identical :class:`ResultSet` contents.
+  queue worker, or in a different order relative to its siblings.  ``jobs=1``
+  and ``jobs=N`` produce byte-for-byte identical :class:`ResultSet` contents.
 * **Content-addressed caching** — expensive intermediates are memoised on
   disk under a key derived from *everything that determines their value*:
   simulated campaigns by (building geometry, campaign config), trained
@@ -46,16 +50,15 @@ Python entry points, or the ``--cache-dir`` / ``--no-cache`` CLI flags.
 Cache keys include the package version, so upgrading the library invalidates
 every cached artefact automatically.
 
-Typical use goes through :meth:`repro.eval.runner.ExperimentRunner.run`,
-:func:`repro.api.run_experiment` or the CLI (``repro run --jobs 4``); the
-engine can also be driven directly::
+Typical use goes through :func:`repro.api.run_experiment` or the CLI
+(``repro run --jobs 4``); the engine can also be driven directly::
 
     from repro.api import ExperimentSpec
     from repro.eval.engine import ExecutionEngine
 
     spec = ExperimentSpec(models=("CALLOC", "KNN"), profile="quick")
     config = spec.config()
-    engine = ExecutionEngine(config, jobs=4, cache=True)
+    engine = ExecutionEngine(config, cache=True)
     results = engine.run(
         spec.resolve_model_tasks(config), spec.resolve_scenarios(config)
     )
@@ -70,13 +73,7 @@ import json
 import os
 import pickle
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -136,6 +133,7 @@ __all__ = [
     "unit_id",
     "unit_title",
     "execute_unit",
+    "plan_records",
     "ExecutionEngine",
 ]
 
@@ -244,7 +242,7 @@ class ArtifactCache:
     where ``digest`` is :func:`cache_key` over everything that determines the
     artefact's content.  Writes are atomic (temp file + ``os.replace``) so a
     crashed or concurrent run can never leave a truncated artefact behind —
-    important because worker processes of a parallel run share the cache.
+    important because the queue workers of a run share the cache.
 
     Two storage formats are used:
 
@@ -277,17 +275,6 @@ class ArtifactCache:
         if isinstance(value, ArtifactCache):
             return value if value.enabled else None
         return cls(value)
-
-    def spec(self) -> Optional[Tuple[str, bool]]:
-        """Picklable description from which workers rebuild this cache."""
-        return (str(self.root), self.enabled)
-
-    @classmethod
-    def from_spec(cls, spec: Optional[Tuple[str, bool]]) -> Optional["ArtifactCache"]:
-        if spec is None:
-            return None
-        root, enabled = spec
-        return cls(root, enabled=enabled) if enabled else None
 
     # -- paths ----------------------------------------------------------
     def path_for(self, kind: str, digest: str, extension: str) -> Path:
@@ -532,7 +519,7 @@ class ExecutionPlan:
     ``eval_units`` are ordered model → building → device (scenarios inside
     each unit keep the grid order), which is exactly the order the legacy
     serial loops emitted records in; stitching unit results back together in
-    this order keeps parallel output byte-identical to the serial path.
+    this order keeps queue-drained output byte-identical to the serial path.
     ``scenario_units`` follow in model → building → device → scenario order.
     """
 
@@ -623,7 +610,7 @@ def build_plan(
 
 
 # ----------------------------------------------------------------------
-# Unit execution (pure functions; run in-process or in worker processes)
+# Unit execution (pure functions; run in-process or in queue workers)
 # ----------------------------------------------------------------------
 def _campaign_payload(building: str, config: EvaluationConfig) -> Dict[str, Any]:
     return {
@@ -769,7 +756,7 @@ def _fit_surrogate(
     """Fit the surrogate-gradient imitation of a non-differentiable victim.
 
     Fully determined by (victim predictions on the training set, model seed),
-    so independent re-fits — e.g. one per worker process — are bit-identical
+    so independent re-fits — e.g. one per queue worker — are bit-identical
     to the single shared surrogate of the serial path.
     """
     train = campaign.train
@@ -796,8 +783,8 @@ def evaluate_unit(
 
     ``surrogates`` is an optional memo (keyed by model digest + surrogate
     seed) letting the serial path reuse one surrogate across the eval units
-    of the same model, matching the legacy runner's behaviour; worker
-    processes pass a per-process module-level dict for the same effect.
+    of the same model, matching the legacy runner's behaviour; queue
+    workers pass their per-thread memo for the same effect.
     """
     test = campaign.test_for(unit.device)
     if surrogates is None:
@@ -990,7 +977,7 @@ def evaluate_scenario_unit(
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level so ProcessPoolExecutor can pickle them)
+# Per-worker memos of the standalone unit execution below
 # ----------------------------------------------------------------------
 class _WorkerMemo(threading.local):
     """Per-thread memos for fitted surrogates and trained models.
@@ -998,146 +985,30 @@ class _WorkerMemo(threading.local):
     These memos are thread-local, not process-global: a memoised model holds
     live autograd state (parameter ``grad`` buffers, training-mode flags),
     so sharing one instance between concurrently executing queue workers in
-    a single process would race.  For the process-pool path (one thread per
-    worker process) thread-local and process-global are the same thing.
-    Surrogates fitted for one (model, device) cell are reused by every later
-    cell of the same model that lands in the same worker (keys embed the
-    campaign digest via the model digest, so reuse can never cross
-    campaigns).
+    a single process would race.  A spawned queue-worker process runs one
+    worker thread, so there thread-local and process-global are the same
+    thing.  Surrogates fitted for one (model, device) cell are reused by
+    every later cell of the same model that lands on the same worker (keys
+    embed the campaign digest via the model digest, so reuse can never
+    cross campaigns).
     """
 
     def __init__(self) -> None:
         self.surrogates: Dict[str, SurrogateGradientModel] = {}
-        self.models: Dict[Tuple[Tuple[str, str], str], Tuple[Localizer, str]] = {}
+        self.models: Dict[str, Tuple[Localizer, str]] = {}
 
 
 _WORKER_MEMO = _WorkerMemo()
 
-#: Campaigns are large (every fingerprint array of a building), so train/
-#: eval submissions ship only the campaign *digest*; workers rebuild the
-#: campaign once — from this memo, the on-disk cache, or a deterministic
-#: re-simulation — instead of paying pickle/unpickle IPC for the full
-#: payload on every unit.  Unlike models, a campaign is immutable input
-#: data, so one process-level memo is shared by every worker thread; the
-#: lock is held across the rebuild so a second thread wanting the same
-#: campaign waits for one rebuild instead of duplicating it.
+#: Campaigns are large (every fingerprint array of a building), so a
+#: long-lived queue worker rebuilds each one once — from this memo, the
+#: on-disk cache, or a deterministic re-simulation — instead of reloading it
+#: for every unit.  Unlike models, a campaign is immutable input data, so one
+#: process-level memo is shared by every worker thread; the lock is held
+#: across the rebuild so a second thread wanting the same campaign waits for
+#: one rebuild instead of duplicating it.
 _CAMPAIGN_MEMO: Dict[str, LocalizationCampaign] = {}
 _CAMPAIGN_LOCK = threading.Lock()
-
-
-def _campaign_memo_get_or_build(digest, builder):
-    """Return the memoised campaign for ``digest``, building it if absent."""
-    with _CAMPAIGN_LOCK:
-        campaign = _CAMPAIGN_MEMO.get(digest)
-        if campaign is None:
-            campaign, computed = builder()
-            assert computed == digest, "campaign digest mismatch across workers"
-            _CAMPAIGN_MEMO[digest] = campaign
-    return campaign
-
-
-def _worker_campaign(
-    building: str, config: EvaluationConfig, cache_spec: Optional[Tuple[str, bool]]
-) -> Tuple[LocalizationCampaign, str]:
-    cache = ArtifactCache.from_spec(cache_spec)
-    with _unit_span(CampaignUnit(building=building), config, cache):
-        campaign, digest = simulate_campaign(building, config, cache)
-    with _CAMPAIGN_LOCK:
-        _CAMPAIGN_MEMO[digest] = campaign
-    return campaign, digest
-
-
-def _worker_get_campaign(
-    building: str,
-    campaign_digest: str,
-    config: EvaluationConfig,
-    cache_spec: Optional[Tuple[str, bool]],
-) -> LocalizationCampaign:
-    return _campaign_memo_get_or_build(
-        campaign_digest,
-        lambda: simulate_campaign(
-            building, config, ArtifactCache.from_spec(cache_spec)
-        ),
-    )
-
-
-def _worker_scenario(
-    unit: ScenarioUnit,
-    model: Optional[Localizer],
-    model_digest: Optional[str],
-    campaign_digest: str,
-    config: EvaluationConfig,
-    cache_spec: Optional[Tuple[str, bool]],
-) -> Tuple[ErrorStats, AttackScenario]:
-    campaign = _worker_get_campaign(
-        unit.building, campaign_digest, config, cache_spec
-    )
-    return evaluate_scenario_unit(
-        unit,
-        model,
-        model_digest,
-        campaign,
-        campaign_digest,
-        config,
-        ArtifactCache.from_spec(cache_spec),
-        surrogates=_WORKER_MEMO.surrogates,
-    )
-
-
-def _worker_task_group(
-    task: ModelTask,
-    building: str,
-    campaign_digest: str,
-    eval_units: List[Tuple[int, EvalUnit]],
-    scenario_units: List[Tuple[int, ScenarioUnit]],
-    config: EvaluationConfig,
-    cache_spec: Optional[Tuple[str, bool]],
-) -> Tuple[
-    Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]
-]:
-    """Train one (task, building) model and score all of its dependents.
-
-    Coalescing the train unit with its eval and standard-model scenario
-    units into one submission is what makes the parallel transport cheap:
-    the trained model and the fitted surrogate stay inside this worker (one
-    training, one surrogate fit, zero model pickling) and only the tiny
-    per-unit :class:`ErrorStats` cross the process boundary.  The campaign —
-    the genuinely large input — never ships at all: workers rebuild it from
-    the digest via the process-level read-only memo / artefact cache /
-    deterministic re-simulation.  Splitting these stages into per-unit
-    submissions (the previous design) re-pickled the model for every unit
-    and made small grids *slower* than serial — pure IPC overhead.
-    """
-    campaign = _worker_get_campaign(building, campaign_digest, config, cache_spec)
-    cache = ArtifactCache.from_spec(cache_spec)
-    with _unit_span(TrainUnit(task=task, building=building), config, cache):
-        model, model_digest = train_localizer(task, campaign, campaign_digest, cache)
-    stats_by_unit: Dict[int, List[ErrorStats]] = {}
-    for index, unit in eval_units:
-        with _unit_span(unit, config, cache):
-            stats_by_unit[index] = evaluate_unit(
-                unit,
-                model,
-                model_digest,
-                campaign,
-                config,
-                cache,
-                surrogates=_WORKER_MEMO.surrogates,
-            )
-    scenario_outcomes: Dict[int, Tuple[ErrorStats, AttackScenario]] = {}
-    for index, unit in scenario_units:
-        with _unit_span(unit, config, cache):
-            scenario_outcomes[index] = evaluate_scenario_unit(
-                unit,
-                model,
-                model_digest,
-                campaign,
-                campaign_digest,
-                config,
-                cache,
-                surrogates=_WORKER_MEMO.surrogates,
-            )
-    return stats_by_unit, scenario_outcomes
 
 
 # ----------------------------------------------------------------------
@@ -1288,9 +1159,11 @@ def _memoised_campaign(
 ) -> Tuple[LocalizationCampaign, str]:
     """Per-process campaign lookup shared by every standalone unit execution."""
     digest = cache_key("campaign", _campaign_payload(building, config))
-    campaign = _campaign_memo_get_or_build(
-        digest, lambda: simulate_campaign(building, config, cache)
-    )
+    with _CAMPAIGN_LOCK:
+        campaign = _CAMPAIGN_MEMO.get(digest)
+        if campaign is None:
+            campaign, _ = simulate_campaign(building, config, cache)
+            _CAMPAIGN_MEMO[digest] = campaign
     return campaign, digest
 
 
@@ -1305,10 +1178,11 @@ def _memoised_localizer(
     A model's eval/scenario units run as separate queue units, so without a
     memo every one would deserialise (or retrain) the same localizer from
     the cache; the in-process engine keeps models in memory across the same
-    span.  Keyed by (task key, campaign digest) — exactly what determines
-    the trained artefact.
+    span.  Keyed by the trained artefact's digest — registry name, params,
+    defense and campaign — so a worker that drains two runs never serves one
+    run's model to the other, whatever their labels.
     """
-    memo_key = (task.key, campaign_digest)
+    memo_key = cache_key("model", _model_payload(task, campaign_digest))
     hit = _WORKER_MEMO.models.get(memo_key)
     if hit is None:
         hit = train_localizer(task, campaign, campaign_digest, cache)
@@ -1338,9 +1212,9 @@ def execute_unit(
     * eval — ``{"stats": [<ErrorStats dict> per attack point]}``;
     * scenario — ``{"stats": <ErrorStats dict>, "attack_point": <dict>}``.
 
-    Campaigns, trained models and fitted surrogates are memoised per worker
-    thread (the same memos the pool workers use), so a long-lived queue
-    worker pays campaign/model deserialisation once, not once per unit.
+    Trained models and fitted surrogates are memoised per worker thread and
+    campaigns per process, so a long-lived queue worker pays campaign/model
+    deserialisation once, not once per unit.
     """
     with _unit_span(unit, config, cache):
         return _execute_unit(unit, config, cache)
@@ -1398,59 +1272,81 @@ def _execute_unit(
     raise TypeError(f"not a plan unit: {unit!r}")
 
 
+def plan_records(
+    plan: ExecutionPlan,
+    eval_stats: Mapping[int, Sequence[ErrorStats]],
+    scenario_outcomes: Mapping[int, Tuple[ErrorStats, AttackScenario]],
+) -> "ResultSet":
+    """Stitch unit outcomes, keyed by unit index, into canonical-order records.
+
+    Eval-unit records come first, in plan order with one record per attack
+    point, then one record per scenario unit.  Both the engine and the queue
+    (:func:`repro.queue.collect_results`) stitch through here, which is what
+    keeps their result sets identical record for record; a unit index absent
+    from the mappings is skipped (a partially collected queue run).
+    """
+    from .runner import EvaluationRecord, ResultSet
+
+    results = ResultSet()
+    for index, unit in enumerate(plan.eval_units):
+        for scenario, stats in zip(unit.scenarios, eval_stats.get(index, ())):
+            results.add(
+                EvaluationRecord(
+                    model=unit.task.label,
+                    building=unit.building,
+                    device=unit.device,
+                    scenario=scenario,
+                    stats=stats,
+                    defense=unit.task.defense_label,
+                )
+            )
+    for index, unit in enumerate(plan.scenario_units):
+        if index not in scenario_outcomes:
+            continue
+        stats, attack_point = scenario_outcomes[index]
+        results.add(
+            EvaluationRecord(
+                model=unit.task.label,
+                building=unit.building,
+                device=unit.device,
+                scenario=attack_point,
+                stats=stats,
+                condition=unit.spec.display_name,
+                defense=unit.task.defense_label,
+            )
+        )
+    return results
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 class ExecutionEngine:
-    """Executes an experiment grid as a DAG of cached, parallelisable units.
+    """Executes an experiment grid in-process as a DAG of cached units.
+
+    Units run one at a time in dependency order (campaigns, then training,
+    then scoring), with trained models and fitted surrogates kept in memory
+    across the units that share them.  This is the ``jobs=1`` path of
+    :func:`repro.api.run_experiment`; ``jobs>1`` drains the same plan
+    through queue workers (:mod:`repro.queue`) and returns identical records.
 
     Parameters
     ----------
     config:
         Evaluation profile supplying the default grid and all seeds.
-    jobs:
-        Number of workers.  ``1`` (the default) runs every unit in-process —
-        the exact legacy serial path; ``>1`` fans coalesced (task, building)
-        work groups out over the selected executor.  Either way the results
-        are bit-identical.
-    executor:
-        ``"process"`` (default) runs workers in a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; ``"thread"`` uses a
-        :class:`~concurrent.futures.ThreadPoolExecutor` instead — no spawn or
-        pickling cost at all, at the price of sharing the GIL (numpy kernels
-        release it, interpreter-bound stages serialise).  Ignored at
-        ``jobs=1``.
     cache:
         Anything :meth:`ArtifactCache.coerce` accepts: ``None``/``False``
         (no caching), ``True`` (default location), a directory path, or an
         :class:`ArtifactCache` instance.
-    campaigns:
-        Optional pre-seeded ``building name -> campaign`` memo, shared with
-        the caller (e.g. :class:`~repro.eval.runner.ExperimentRunner` passes
-        its own in-memory campaign cache).
     """
-
-    EXECUTORS = ("process", "thread")
 
     def __init__(
         self,
         config: Optional[EvaluationConfig] = None,
-        jobs: int = 1,
         cache: Union[None, bool, str, Path, ArtifactCache] = None,
-        campaigns: Optional[Dict[str, LocalizationCampaign]] = None,
-        executor: str = "process",
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if executor not in self.EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {self.EXECUTORS}, got {executor!r}"
-            )
         self.config = config or EvaluationConfig.quick()
-        self.jobs = int(jobs)
-        self.executor = executor
         self.cache = ArtifactCache.coerce(cache)
-        self._campaigns = campaigns if campaigns is not None else {}
 
     # -- public API -----------------------------------------------------
     def run(
@@ -1467,65 +1363,23 @@ class ExecutionEngine:
         device, scenario spec); its records follow the attack-grid records,
         tagged with the scenario's display name in their ``condition`` field.
         """
-        from .runner import EvaluationRecord, ResultSet
-
         buildings = tuple(buildings) if buildings is not None else self.config.buildings
         devices = tuple(devices) if devices is not None else self.config.devices
         plan = build_plan(
             tasks, scenarios, buildings, devices, tuple(robustness or ())
         )
-        if self.jobs == 1:
-            stats_by_unit, scenario_outcomes = self._execute_serial(plan)
-        else:
-            stats_by_unit, scenario_outcomes = self._execute_parallel(plan)
-        results = ResultSet()
-        for index, unit in enumerate(plan.eval_units):
-            for scenario, stats in zip(unit.scenarios, stats_by_unit[index]):
-                results.add(
-                    EvaluationRecord(
-                        model=unit.task.label,
-                        building=unit.building,
-                        device=unit.device,
-                        scenario=scenario,
-                        stats=stats,
-                        defense=unit.task.defense_label,
-                    )
-                )
-        for index, unit in enumerate(plan.scenario_units):
-            stats, attack_point = scenario_outcomes[index]
-            results.add(
-                EvaluationRecord(
-                    model=unit.task.label,
-                    building=unit.building,
-                    device=unit.device,
-                    scenario=attack_point,
-                    stats=stats,
-                    condition=unit.spec.display_name,
-                    defense=unit.task.defense_label,
-                )
-            )
-        return results
+        return plan_records(plan, *self._execute(plan))
 
-    def campaign(self, building: str) -> LocalizationCampaign:
-        """Return (and memoise) the simulated campaign for one building."""
-        return self._campaign_with_digest(building)[0]
-
-    # -- serial path ----------------------------------------------------
-    def _campaign_with_digest(self, building: str) -> Tuple[LocalizationCampaign, str]:
-        if building in self._campaigns:
-            digest = cache_key("campaign", _campaign_payload(building, self.config))
-            return self._campaigns[building], digest
-        campaign, digest = simulate_campaign(building, self.config, self.cache)
-        self._campaigns[building] = campaign
-        return campaign, digest
-
-    def _execute_serial(
+    # -- execution ------------------------------------------------------
+    def _execute(
         self, plan: ExecutionPlan
     ) -> Tuple[Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]]:
         campaigns: Dict[str, Tuple[LocalizationCampaign, str]] = {}
         for unit in plan.campaign_units:
             with _unit_span(unit, self.config, self.cache):
-                campaigns[unit.building] = self._campaign_with_digest(unit.building)
+                campaigns[unit.building] = simulate_campaign(
+                    unit.building, self.config, self.cache
+                )
         models: Dict[Tuple[str, str], Tuple[Localizer, str]] = {}
         for train_unit in plan.train_units:
             campaign, campaign_digest = campaigns[train_unit.building]
@@ -1568,130 +1422,4 @@ class ExecutionEngine:
                     self.cache,
                     surrogates=surrogates,
                 )
-        return stats_by_unit, scenario_outcomes
-
-    # -- parallel path --------------------------------------------------
-    def _executor_factory(self):
-        """The selected :mod:`concurrent.futures` executor class."""
-        return (
-            ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
-        )
-
-    def _execute_parallel(
-        self, plan: ExecutionPlan
-    ) -> Tuple[Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]]:
-        """Dependency-driven execution over a process or thread pool.
-
-        Work is submitted at *task-group* granularity: one campaign unit per
-        building, then — the moment a building's campaign digest lands — one
-        coalesced :func:`_worker_task_group` per (task, building) covering
-        the train unit plus every eval unit and standard-model scenario unit
-        that depends on it.  Scenario units that train their own model (no
-        shared train dependency) are submitted individually alongside.
-
-        Coalescing is deliberate: the per-unit submissions this replaced
-        shipped the trained model (pickled) to every eval unit and the
-        surrogate state to none of them, so small work units spent more time
-        in IPC than in numpy and ``jobs=2`` ran *slower* than serial.  With
-        groups, models and surrogates never leave the worker, campaigns
-        travel as digests against a read-only process-level memo, and the
-        only per-unit traffic is a few hundred bytes of statistics.
-
-        Completion order is nondeterministic but irrelevant — results are
-        keyed by unit index and stitched back in plan order by :meth:`run`.
-        """
-        cache_spec = self.cache.spec() if self.cache is not None else None
-        campaigns: Dict[str, Tuple[LocalizationCampaign, str]] = {}
-        stats_by_unit: Dict[int, List[ErrorStats]] = {}
-        scenario_outcomes: Dict[int, Tuple[ErrorStats, AttackScenario]] = {}
-
-        # Dependency indices: building -> train-unit ids, train id -> eval /
-        # scenario ids, building -> self-training scenario ids.
-        trains_by_building: Dict[str, List[int]] = {}
-        for train_index, train_unit in enumerate(plan.train_units):
-            trains_by_building.setdefault(train_unit.building, []).append(train_index)
-        evals_by_train: Dict[Tuple[str, str], List[Tuple[int, EvalUnit]]] = {}
-        for eval_index, eval_unit in enumerate(plan.eval_units):
-            key = (eval_unit.task.key, eval_unit.building)
-            evals_by_train.setdefault(key, []).append((eval_index, eval_unit))
-        scenarios_by_train: Dict[Tuple[str, str], List[Tuple[int, ScenarioUnit]]] = {}
-        scenarios_by_campaign: Dict[str, List[int]] = {}
-        # trains_standard_model is a family-level (class) attribute, so memo
-        # by registry name — params may hold values that hash poorly.
-        trains_standard: Dict[str, bool] = {}
-        for scenario_index, scenario_unit in enumerate(plan.scenario_units):
-            spec = scenario_unit.spec
-            if spec.name not in trains_standard:
-                trains_standard[spec.name] = spec.build().trains_standard_model
-            if trains_standard[spec.name]:
-                key = (scenario_unit.task.key, scenario_unit.building)
-                scenarios_by_train.setdefault(key, []).append(
-                    (scenario_index, scenario_unit)
-                )
-            else:
-                scenarios_by_campaign.setdefault(
-                    scenario_unit.building, []
-                ).append(scenario_index)
-
-        with self._executor_factory()(max_workers=self.jobs) as executor:
-            pending = {}
-
-            def submit_scenario(scenario_index: int, campaign_digest: str) -> None:
-                scenario_future = executor.submit(
-                    _worker_scenario,
-                    plan.scenario_units[scenario_index],
-                    None,
-                    None,
-                    campaign_digest,
-                    self.config,
-                    cache_spec,
-                )
-                pending[scenario_future] = ("scenario", scenario_index)
-
-            def submit_groups(building: str, digest: str) -> None:
-                for train_index in trains_by_building.get(building, ()):
-                    train_unit = plan.train_units[train_index]
-                    key = (train_unit.task.key, building)
-                    group_future = executor.submit(
-                        _worker_task_group,
-                        train_unit.task,
-                        building,
-                        digest,
-                        evals_by_train.get(key, []),
-                        scenarios_by_train.get(key, []),
-                        self.config,
-                        cache_spec,
-                    )
-                    pending[group_future] = ("group", None)
-                for scenario_index in scenarios_by_campaign.get(building, ()):
-                    submit_scenario(scenario_index, digest)
-
-            for unit in plan.campaign_units:
-                if unit.building in self._campaigns:
-                    # Pre-seeded memo (e.g. a runner reused across specs):
-                    # skip the campaign worker and unblock training directly.
-                    campaign, digest = self._campaign_with_digest(unit.building)
-                    campaigns[unit.building] = (campaign, digest)
-                    submit_groups(unit.building, digest)
-                    continue
-                future = executor.submit(
-                    _worker_campaign, unit.building, self.config, cache_spec
-                )
-                pending[future] = ("campaign", unit)
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    kind, unit = pending.pop(future)
-                    outcome = future.result()
-                    if kind == "campaign":
-                        campaign, digest = outcome
-                        campaigns[unit.building] = (campaign, digest)
-                        self._campaigns.setdefault(unit.building, campaign)
-                        submit_groups(unit.building, digest)
-                    elif kind == "group":
-                        group_stats, group_outcomes = outcome
-                        stats_by_unit.update(group_stats)
-                        scenario_outcomes.update(group_outcomes)
-                    else:  # scenario
-                        scenario_outcomes[unit] = outcome
         return stats_by_unit, scenario_outcomes

@@ -6,10 +6,10 @@ The pytest benchmarks under ``benchmarks/`` are thin wrappers around these
 functions; they can also be called directly from scripts or notebooks.
 
 Every model-grid artefact is expressed as a declarative
-:class:`~repro.api.ExperimentSpec` executed through
-:meth:`~repro.eval.runner.ExperimentRunner.run`, so the exact experiment a
-figure encodes can be serialized to JSON (``fig6_spec().to_json()``),
-edited, and re-run through the same path (``python -m repro run``).
+:class:`~repro.api.ExperimentSpec` executed serially through
+:func:`~repro.api.run_experiment`, so the exact experiment a figure encodes
+can be serialized to JSON (``fig6_spec().to_json()``), edited, and re-run
+through the same path (``python -m repro run``).
 
 Artefacts covered:
 
@@ -37,7 +37,7 @@ from ..data.devices import PAPER_DEVICES
 from ..data.floorplan import PAPER_BUILDING_SPECS, paper_building
 from ..interfaces import Localizer
 from .reporting import ascii_table, format_factor_table, text_heatmap
-from .runner import ExperimentRunner, ResultSet
+from .runner import ResultSet
 from .scenarios import AttackScenario, EvaluationConfig
 
 __all__ = [
@@ -101,6 +101,13 @@ def _spec(models, **kwargs):
     from ..api import ExperimentSpec
 
     return ExperimentSpec(models=tuple(models), **kwargs)
+
+
+def _run(spec, config: EvaluationConfig, cache: object) -> ResultSet:
+    """Run ``spec`` under ``config`` in-process (late import avoids a cycle)."""
+    from ..api import run_experiment
+
+    return run_experiment(spec, config=config, cache=cache)
 
 
 def fig6_spec(baselines: Optional[Sequence[str]] = None):
@@ -209,13 +216,10 @@ def table3_model_budget(num_aps: int = 165, num_classes: int = 61) -> Dict[str, 
 # ----------------------------------------------------------------------
 def fig1_attack_impact(
     config: Optional[EvaluationConfig] = None,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Fig. 1: localization error of KNN / GPC / DNN with and without FGSM."""
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     scenarios = (
         AttackScenario(method="FGSM", epsilon=0.0, phi_percent=0.0),
         AttackScenario(method="FGSM", epsilon=0.3, phi_percent=50.0, seed=config.attack_seeds[0]),
@@ -227,7 +231,7 @@ def fig1_attack_impact(
         buildings=config.buildings[:1],
         name="fig1",
     )
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
     summary: Dict[str, Dict[str, float]] = {}
     rows = []
     for model_name in model_names:
@@ -247,15 +251,12 @@ def fig1_attack_impact(
 
 def fig4_heatmaps(
     config: Optional[EvaluationConfig] = None,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Fig. 4: CALLOC mean-error heatmaps (device × building) per attack method."""
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     spec = _spec(("CALLOC",), buildings=config.buildings, name="fig4")
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
     heatmaps: Dict[str, np.ndarray] = {}
     texts: List[str] = []
     for method in config.attack_methods:
@@ -278,15 +279,12 @@ def fig4_heatmaps(
 
 def fig5_curriculum(
     config: Optional[EvaluationConfig] = None,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Fig. 5: curriculum (CALLOC) vs no-curriculum (NC) across attacks and ε."""
     from ..api import ModelSpec
 
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     spec = _spec(
         (
             ModelSpec("CALLOC"),
@@ -294,7 +292,7 @@ def fig5_curriculum(
         ),
         name="fig5",
     )
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
     curves: Dict[str, Dict[str, List[float]]] = {}
     rows = []
     for method in config.attack_methods:
@@ -321,15 +319,12 @@ def fig5_curriculum(
 def fig6_sota(
     config: Optional[EvaluationConfig] = None,
     baselines: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Fig. 6: CALLOC vs state-of-the-art frameworks (mean and worst-case error)."""
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     spec = fig6_spec(baselines)
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
 
     stats: Dict[str, Dict[str, float]] = {}
     for model_name in (m.display_name for m in spec.models):
@@ -353,13 +348,10 @@ def fig7_phi_sweep(
     baselines: Optional[Sequence[str]] = None,
     method: str = "FGSM",
     epsilon: float = 0.1,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Fig. 7: mean error vs number of attacked APs ø (FGSM, ε = 0.1)."""
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     names = ("CALLOC",) + (
         tuple(baselines) if baselines is not None else DEFAULT_SOTA_BASELINES
     )
@@ -369,7 +361,7 @@ def fig7_phi_sweep(
         epsilons=(epsilon,),
         name="fig7",
     )
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
 
     curves: Dict[str, List[float]] = {name: [] for name in names}
     for phi in config.phi_percents:
@@ -393,9 +385,7 @@ def robustness_matrix(
     config: Optional[EvaluationConfig] = None,
     models: Optional[Sequence[str]] = None,
     scenarios: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Robustness matrix: mean error per model × deployment scenario.
 
@@ -407,7 +397,6 @@ def robustness_matrix(
     and an ASCII rendering.
     """
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     names = tuple(models) if models is not None else DEFAULT_ROBUSTNESS_MODELS
     specs = config.robustness_scenarios(scenarios)
     spec = _spec(
@@ -416,7 +405,7 @@ def robustness_matrix(
         robustness=tuple(specs),
         name="robustness",
     )
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
     scenario_names = [s.display_name for s in specs]
     matrix = np.zeros((len(names), len(scenario_names)))
     rows = []
@@ -441,15 +430,12 @@ def robustness_matrix(
 
 def ablation_adaptive(
     config: Optional[EvaluationConfig] = None,
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> Dict[str, object]:
     """Sec. IV.D ablation: adaptive curriculum controller vs static curriculum."""
     from ..api import ModelSpec
 
     config = config or EvaluationConfig.quick()
-    runner = ExperimentRunner(config, jobs=jobs, cache=cache, executor=executor)
     labels = ("CALLOC-adaptive", "CALLOC-static")
     spec = _spec(
         (
@@ -459,7 +445,7 @@ def ablation_adaptive(
         attack_methods=("FGSM",),
         name="ablation",
     )
-    results = runner.run(spec)
+    results = _run(spec, config, cache)
     rows = []
     stats = {}
     for name in labels:

@@ -32,7 +32,7 @@ referenced declaratively through :class:`ScenarioSpec` — in
 :class:`repro.api.ExperimentSpec` (``robustness=("drift", "ap-outage")``), on
 the CLI (``repro run --scenario drift``), and in the execution engine, where
 each (model, building, device, scenario) cell is one cached, deterministic
-work unit (``jobs=1`` ≡ ``jobs=N``, cold ≡ warm cache).
+work unit (in-process ≡ queue-drained ``jobs=N``, cold ≡ warm cache).
 
 Every scenario derives all of its randomness from a :func:`stable_seed` over
 its own seed plus the names of the entities involved, never from shared RNG

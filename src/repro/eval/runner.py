@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from ..interfaces import ErrorSummary, Localizer
 from ..registry import make_attack
 from .metrics import ErrorStats, error_stats
 from .scenarios import AttackScenario, EvaluationConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports runner)
-    from ..api import ExperimentSpec
 
 __all__ = ["EvaluationRecord", "ResultSet", "ExperimentRunner"]
 
@@ -169,24 +166,14 @@ class ResultSet:
 class ExperimentRunner:
     """Coordinates campaigns, model training and attacked evaluation.
 
-    ``run`` executes declarative specs through the parallel, cache-aware
-    :class:`~repro.eval.engine.ExecutionEngine`; ``jobs``/``cache`` select
-    worker-process count and on-disk memoisation (see the engine docs).  The
-    explicit ``evaluate_model``/``evaluate_models`` methods remain the
-    in-process serial reference path.
+    The reference path: ``evaluate_model``/``evaluate_models`` walk the grid
+    with plain nested loops over model factories, with no work units and no
+    on-disk cache.  Declarative specs run through :func:`repro.api.run_experiment`,
+    whose results tests compare against this path record for record.
     """
 
-    def __init__(
-        self,
-        config: Optional[EvaluationConfig] = None,
-        jobs: int = 1,
-        cache: object = None,
-        executor: str = "process",
-    ) -> None:
+    def __init__(self, config: Optional[EvaluationConfig] = None) -> None:
         self.config = config or EvaluationConfig.quick()
-        self.jobs = jobs
-        self.cache = cache
-        self.executor = executor
         self._campaigns: Dict[str, LocalizationCampaign] = {}
         self._surrogates: Dict[int, SurrogateGradientModel] = {}
 
@@ -299,42 +286,3 @@ class ExperimentRunner:
                 self.evaluate_model(name, factory, scenarios, buildings, devices).records
             )
         return results
-
-    def run(
-        self,
-        spec: "ExperimentSpec",
-        jobs: Optional[int] = None,
-        cache: object = None,
-        executor: Optional[str] = None,
-    ) -> ResultSet:
-        """Execute a declarative :class:`~repro.api.ExperimentSpec`.
-
-        The spec's models and scenario grid are resolved against this
-        runner's config (its profile is ignored here — build the runner from
-        ``spec.config()``, or use :func:`repro.api.run_experiment`, to honor
-        it).  Reusing one runner across specs shares the campaign cache.
-
-        Execution goes through :class:`~repro.eval.engine.ExecutionEngine`:
-        ``jobs``/``cache``/``executor`` override the runner-level settings
-        for this call (``jobs=1``, the default, is the serial path; results
-        are bit-identical at any job count and with either executor).
-        """
-        from .engine import ExecutionEngine
-
-        tasks = spec.resolve_model_tasks(self.config)
-        scenarios = spec.resolve_scenarios(self.config)
-        robustness = spec.resolve_robustness(self.config)
-        engine = ExecutionEngine(
-            self.config,
-            jobs=self.jobs if jobs is None else jobs,
-            cache=self.cache if cache is None else cache,
-            campaigns=self._campaigns,
-            executor=self.executor if executor is None else executor,
-        )
-        return engine.run(
-            tasks,
-            scenarios,
-            buildings=spec.buildings,
-            devices=spec.devices,
-            robustness=robustness,
-        )

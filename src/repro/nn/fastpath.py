@@ -5,7 +5,7 @@ whole-array numpy operation per graph node, but every node also pays Python
 bookkeeping: a ``Tensor`` allocation, parent tracking, a closure, the
 topological sort and ``_unbroadcast`` checks during ``backward``.  For the
 small batches this repository trains on (27–64 rows), that bookkeeping — not
-the numpy work — dominates runtime, which is why the engine's ProcessPool was
+the numpy work — dominates runtime, which is why parallel engine runs were
 slower than serial execution (work units were mostly interpreter overhead).
 
 This module compiles a chain of *supported* layers into a flat list and then

@@ -315,8 +315,9 @@ class Sequential(Module):
 
 #: Cached sliding-window gather indices, shared by every Conv1d/MaxPool1d in
 #: the process.  Entries are deterministic per key and marked read-only, but
-#: thread-executor engine runs mutate the dict concurrently, so the insert is
-#: lock-guarded (the repro-lint R4 shared-state rule enforces this).
+#: queue workers running as threads of one process mutate the dict
+#: concurrently, so the insert is lock-guarded (the repro-lint R4
+#: shared-state rule enforces this).
 _WINDOW_INDEX_CACHE: Dict[tuple, np.ndarray] = {}
 _WINDOW_INDEX_LOCK = threading.Lock()
 

@@ -18,7 +18,7 @@ Design points:
   each other's requests.
 * **Lock-guarded.** One lock per metric guards both the series map and
   every series mutation; instruments are safe to share across server
-  threads, the engine's thread executor and asyncio callbacks.
+  threads, queue-worker threads and asyncio callbacks.
 * **Bounded cardinality.** A metric accepts at most ``max_series`` distinct
   label combinations; beyond that, updates collapse into a single
   ``"_overflow"`` series so a fuzzing client cannot grow ``/metrics``

@@ -12,9 +12,10 @@ traced run replays as a tree::
 Parent linkage rides on a :class:`contextvars.ContextVar`, so spans nest
 naturally through nested ``with`` blocks and across ``await`` points in
 the asyncio front end.  Plain ``threading.Thread`` hand-offs (the
-MicroBatcher flusher, executor pools) start from an empty context; the
-producing side captures :func:`current` and the consuming side re-enters
-it with :func:`attach` — see ``MicroBatcher.submit`` / ``_flush``.
+MicroBatcher flusher, the aio front end's executor threads) start from an
+empty context; the producing side captures :func:`current` and the
+consuming side re-enters it with :func:`attach` — see
+``MicroBatcher.submit`` / ``_flush``.
 
 Cost model: when tracing is disabled (``REPRO_TELEMETRY=0`` /
 ``--no-telemetry`` / :func:`set_enabled`), :func:`span` returns a shared

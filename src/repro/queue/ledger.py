@@ -54,6 +54,7 @@ from ..eval.engine import (
     ArtifactCache,
     ExecutionPlan,
     PlanUnit,
+    plan_records,
     unit_digest,
     unit_id,
     unit_kind,
@@ -674,21 +675,19 @@ def collect_results(
 ) -> "ResultSet":
     """Merge completed unit outcomes into a canonical-order ResultSet.
 
-    Records are stitched in exactly the order :meth:`ExecutionEngine.run`
-    emits them (eval units in plan order, then scenario units), so a fully
-    completed queue run compares byte-identical to a serial
+    Records are stitched by :func:`~repro.eval.engine.plan_records`, the
+    same code :meth:`ExecutionEngine.run` uses, so a fully completed queue
+    run compares byte-identical to a serial
     :func:`~repro.api.run_experiment` of the same spec.  With
     ``allow_partial`` units that are not done are silently omitted (the
     graceful-degradation view of a run with parked failures); otherwise a
     missing outcome raises :class:`LedgerError`.
     """
     from ..eval.metrics import ErrorStats
-    from ..eval.runner import EvaluationRecord, ResultSet
     from ..eval.scenarios import AttackScenario
 
     plan = ledger.plan
     config = ledger.config
-    results = ResultSet()
 
     def outcome_for(unit: PlanUnit) -> Optional[Dict[str, Any]]:
         uid = unit_id(unit, config)
@@ -701,34 +700,17 @@ def collect_results(
             )
         return document
 
-    for unit in plan.eval_units:
+    eval_stats = {}
+    for index, unit in enumerate(plan.eval_units):
         document = outcome_for(unit)
-        if document is None:
-            continue
-        for scenario, stats in zip(unit.scenarios, document["stats"]):
-            results.add(
-                EvaluationRecord(
-                    model=unit.task.label,
-                    building=unit.building,
-                    device=unit.device,
-                    scenario=scenario,
-                    stats=ErrorStats(**stats),
-                    defense=unit.task.defense_label,
-                )
-            )
-    for unit in plan.scenario_units:
+        if document is not None:
+            eval_stats[index] = [ErrorStats(**stats) for stats in document["stats"]]
+    scenario_outcomes = {}
+    for index, unit in enumerate(plan.scenario_units):
         document = outcome_for(unit)
-        if document is None:
-            continue
-        results.add(
-            EvaluationRecord(
-                model=unit.task.label,
-                building=unit.building,
-                device=unit.device,
-                scenario=AttackScenario(**document["attack_point"]),
-                stats=ErrorStats(**document["stats"]),
-                condition=unit.spec.display_name,
-                defense=unit.task.defense_label,
+        if document is not None:
+            scenario_outcomes[index] = (
+                ErrorStats(**document["stats"]),
+                AttackScenario(**document["attack_point"]),
             )
-        )
-    return results
+    return plan_records(plan, eval_stats, scenario_outcomes)

@@ -113,9 +113,8 @@ def catalog_document(kind: str, entries: List[Dict[str, Any]]) -> Dict[str, Any]
 class RegistryError(KeyError):
     """Unknown or conflicting component name.
 
-    Subclasses :class:`KeyError` so that callers of the legacy factory
-    functions (``make_baseline`` / ``repro.attacks.make_attack``), which
-    documented ``KeyError``, keep working unchanged.
+    Subclasses :class:`KeyError`, so callers that catch ``KeyError`` around
+    a registry lookup keep working unchanged.
     """
 
     def __str__(self) -> str:  # KeyError repr()s its message; show it verbatim.

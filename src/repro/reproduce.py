@@ -52,10 +52,6 @@ Regenerate Fig. 6 on the quick profile and print the comparison table::
 
     python -m repro artefact fig6 --profile quick
 
-The pre-subcommand spelling still works::
-
-    python -m repro --artefact fig6 --profile quick
-
 Run a declarative experiment::
 
     python -m repro run --models CALLOC KNN --profile quick
@@ -103,14 +99,14 @@ from .eval import (
 
 __all__ = ["main", "build_parser", "run_artefact", "ARTEFACTS"]
 
-#: Artefact name -> callable(config, jobs=..., cache=...) -> result dict with a
-#: "text" rendering.  The static tables ignore the engine options.
+#: Artefact name -> callable(config, cache=...) -> result dict with a "text"
+#: rendering.  The static tables ignore the cache.
 ARTEFACTS: Dict[str, Callable] = {
-    "table1": lambda config, **engine: table1_devices(),
-    "table2": lambda config, **engine: table2_buildings(
+    "table1": lambda config, cache=None: table1_devices(),
+    "table2": lambda config, cache=None: table2_buildings(
         rp_granularity_m=config.rp_granularity_m
     ),
-    "table3": lambda config, **engine: table3_model_budget(),
+    "table3": lambda config, cache=None: table3_model_budget(),
     "fig1": fig1_attack_impact,
     "fig4": fig4_heatmaps,
     "fig5": fig5_curriculum,
@@ -137,21 +133,6 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         type=Path,
         default=argparse.SUPPRESS if suppress else None,
         help="optional directory to write rendered artefacts / CSV results to",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=argparse.SUPPRESS if suppress else 1,
-        help="worker processes for the evaluation engine (1 = serial; results "
-        "are bit-identical at any job count)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default=argparse.SUPPRESS if suppress else "process",
-        help="worker pool flavour for --jobs > 1: separate processes "
-        "(default) or threads (cheaper startup; numpy releases the GIL for "
-        "the heavy kernels). Results are bit-identical either way",
     )
     parser.add_argument(
         "--cache-dir",
@@ -184,16 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
             "inspect the model/attack registries, or run declarative experiments."
         ),
     )
-    # Legacy pre-subcommand interface: `python -m repro --artefact fig6`.
-    parser.add_argument(
-        "--artefact",
-        choices=sorted(ARTEFACTS) + ["all"],
-        default="all",
-        help="which table/figure to regenerate (default: all)",
-    )
     _add_common_options(parser, suppress=False)
 
-    subparsers = parser.add_subparsers(dest="command")
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
     list_models = subparsers.add_parser(
         "list-models", help="enumerate every registered localizer"
@@ -295,6 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="resolve and print the execution plan (unit counts per stage) "
         "without executing anything",
+    )
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="1 runs the plan in-process; N > 1 drains it with N spawned "
+        "queue workers (results are bit-identical at any job count)",
     )
     _add_common_options(run, suppress=True)
 
@@ -664,20 +645,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine_options(args: argparse.Namespace) -> Dict[str, object]:
-    """``jobs``/``cache``/``executor`` engine options from parsed CLI flags.
+def _cache_option(args: argparse.Namespace) -> object:
+    """The ``cache`` argument of the run/artefact commands from CLI flags.
 
     Caching defaults to **on** for the CLI (at ``$REPRO_CACHE_DIR`` or
     ``~/.cache/repro``); ``--no-cache`` disables it, ``--cache-dir`` moves it.
     """
-    jobs = getattr(args, "jobs", 1)
     if getattr(args, "no_cache", False):
-        cache: object = False
-    else:
-        cache_dir = getattr(args, "cache_dir", None)
-        cache = cache_dir if cache_dir is not None else True
-    executor = getattr(args, "executor", "process")
-    return {"jobs": jobs, "cache": cache, "executor": executor}
+        return False
+    cache_dir = getattr(args, "cache_dir", None)
+    return cache_dir if cache_dir is not None else True
 
 
 def _setup_telemetry(args: argparse.Namespace) -> None:
@@ -716,16 +693,14 @@ def run_artefact(
     name: str,
     config: EvaluationConfig,
     output_dir: Optional[Path],
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> str:
     """Run one artefact and optionally persist its rendering.
 
     Artefacts exposing per-record rows under a ``"csv_rows"`` key (the
     robustness matrix does) are additionally exported as ``<name>.csv``.
     """
-    result = ARTEFACTS[name](config, jobs=jobs, cache=cache, executor=executor)
+    result = ARTEFACTS[name](config, cache=cache)
     text = result["text"]
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -946,18 +921,12 @@ def _cmd_artefacts(
     names: List[str],
     profile: str,
     output_dir: Optional[Path],
-    jobs: int = 1,
     cache: object = None,
-    executor: str = "process",
 ) -> int:
     config = _PROFILES[profile]()
     for name in names:
         print(f"=== {name} ({profile} profile) ===")
-        print(
-            run_artefact(
-                name, config, output_dir, jobs=jobs, cache=cache, executor=executor
-            )
-        )
+        print(run_artefact(name, config, output_dir, cache=cache))
         print()
     return 0
 
@@ -1018,12 +987,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(ascii_table(rows, headers=["stage", "units"]))
         return 0
 
-    engine = _engine_options(args)
     print(
         f"running spec{label}: profile={spec.profile}, "
-        f"{len(spec.models)} model(s), jobs={engine['jobs']}"
+        f"{len(spec.models)} model(s), jobs={args.jobs}"
     )
-    results = run_experiment(spec, **engine)
+    results = run_experiment(spec, jobs=args.jobs, cache=_cache_option(args))
     rows = []
     defense_cells = sorted({record.defense for record in results.records})
     for model_name in results.models():
@@ -1335,7 +1303,7 @@ def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     command = getattr(args, "command", None)
-    if command in (None, "artefact", "run", "queue", "serve"):
+    if command in ("artefact", "run", "queue", "serve"):
         _setup_telemetry(args)
     if command == "obs":
         try:
@@ -1386,16 +1354,13 @@ def main(argv: Optional[list] = None) -> int:
             # User errors (unknown model, malformed spec, missing file) get a
             # clean message instead of a traceback.
             raise SystemExit(f"error: {error}")
-    if command == "artefact":
-        return _cmd_artefacts(
-            _artefact_names(args.names),
-            args.profile,
-            args.output_dir,
-            **_engine_options(args),
-        )
-    # Legacy interface: no subcommand, `--artefact` selects the artefacts.
-    names = sorted(ARTEFACTS) if args.artefact == "all" else [args.artefact]
-    return _cmd_artefacts(names, args.profile, args.output_dir, **_engine_options(args))
+    # The remaining subcommand: artefact.
+    return _cmd_artefacts(
+        _artefact_names(args.names),
+        args.profile,
+        args.output_dir,
+        cache=_cache_option(args),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -14,9 +14,9 @@ from repro.baselines import (
     DNNLocalizer,
     SANGRIALocalizer,
     WiDeepLocalizer,
-    make_baseline,
 )
 from repro.interfaces import DifferentiableLocalizer
+from repro.registry import make_localizer
 
 
 class TestRegistry:
@@ -24,13 +24,13 @@ class TestRegistry:
         for name in ("KNN", "GPC", "DNN", "CNN", "AdvLoc", "ANVIL", "SANGRIA", "WiDeep"):
             assert name in BASELINE_REGISTRY
 
-    def test_make_baseline_passes_kwargs(self):
-        model = make_baseline("DNN", epochs=5)
+    def test_make_localizer_passes_kwargs(self):
+        model = make_localizer("DNN", epochs=5)
         assert model.epochs == 5
 
     def test_unknown_baseline_raises(self):
         with pytest.raises(KeyError):
-            make_baseline("ResNet")
+            make_localizer("ResNet")
 
 
 class TestDNN:

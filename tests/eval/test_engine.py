@@ -1,21 +1,29 @@
-"""Tests for the parallel, cache-aware execution engine.
+"""Tests for the cache-aware execution engine and ``run_experiment``.
 
-Covers the determinism guarantees the engine advertises (``jobs=N`` and the
-warm-cache path are bit-identical to the serial cold path), the
+Covers the determinism guarantees the engine advertises (``jobs=N`` queue
+drains and the warm-cache path are bit-identical to the serial cold path),
+the queue-backed ``jobs>1`` path's clean-up and failure reporting, the
 content-addressed cache keying rules, and the engine-backed entry points
 (:func:`repro.api.run_experiment`, :meth:`LocalizationService.trained_on`).
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.queue
 from repro.api import ExperimentSpec, LocalizationService, run_experiment
 from repro.eval import ExperimentRunner
 from repro.eval.engine import (
     ArtifactCache,
-    ExecutionEngine,
     ModelTask,
     build_plan,
     cache_key,
@@ -92,17 +100,99 @@ class TestDeterminism:
         warm_parallel = run_experiment(quick_spec, jobs=3, cache=tmp_path / "cache")
         assert warm_parallel.to_records() == serial_records
 
-    def test_thread_executor_matches_serial_bit_for_bit(
-        self, quick_spec, serial_records
-    ):
-        """jobs=N over a thread pool is the third identical transport."""
-        threaded = run_experiment(quick_spec, jobs=2, executor="thread")
-        assert threaded.to_records() == serial_records
 
-    def test_unknown_executor_rejected(self):
-        config = EvaluationConfig.quick()
-        with pytest.raises(ValueError, match="executor"):
-            ExecutionEngine(config, jobs=2, executor="fork-bomb")
+#: One cheap model on one device and one attack point: a few plan units.
+TINY_SPEC = ExperimentSpec(
+    models=("KNN",),
+    profile="quick",
+    devices=("OP3",),
+    attack_methods=("FGSM",),
+    epsilons=(0.3,),
+    phi_percents=(50.0,),
+)
+
+
+def _runs_left(cache_dir: Path) -> list:
+    queue_dir = cache_dir / "queue"
+    return sorted(os.listdir(queue_dir)) if queue_dir.exists() else []
+
+
+class TestQueueJobs:
+    """``jobs>1`` drains an ephemeral run ledger with spawned queue workers."""
+
+    def test_ledger_is_removed_after_success(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        records = run_experiment(TINY_SPEC, jobs=2, cache=cache_dir).to_records()
+        assert records == run_experiment(TINY_SPEC).to_records()
+        assert _runs_left(cache_dir) == []
+
+    def test_no_temporary_cache_is_left_with_caching_off(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        run_experiment(TINY_SPEC, jobs=2, cache=False)
+        assert os.listdir(scratch) == []
+
+    def test_failing_unit_raises_one_error_naming_it(self, tmp_path):
+        spec = ExperimentSpec(
+            models=({"name": "KNN", "params": {"k": 0}},),
+            profile="quick",
+            devices=("OP3",),
+            attack_methods=("FGSM",),
+            epsilons=(0.3,),
+            phi_percents=(50.0,),
+        )
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(RuntimeError, match=r"unit train-\w+ \(train KNN/none") as excinfo:
+            run_experiment(spec, jobs=2, cache=cache_dir)
+        message = str(excinfo.value)
+        assert "failed after 3 attempt(s)" in message
+        assert "k must be positive" in message
+        assert "repro queue work" not in message
+        assert _runs_left(cache_dir) == []
+
+    def test_workers_exiting_early_name_the_first_pending_unit(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(repro.queue, "work", lambda cache, run_id, workers: False)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        pending = r"unit campaign-\w+ \(campaign Building 1\): pending"
+        with pytest.raises(RuntimeError, match=pending) as excinfo:
+            run_experiment(TINY_SPEC, jobs=2, cache=False)
+        assert 'if __name__ == "__main__":' in str(excinfo.value)
+        assert os.listdir(scratch) == []
+
+    def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                from repro.api import ExperimentSpec, run_experiment
+
+                spec = ExperimentSpec.from_json({TINY_SPEC.to_json(indent=None)!r})
+                run_experiment(spec, jobs=2, cache={str(tmp_path / "cache")!r})
+                """
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        process = subprocess.run(
+            [sys.executable, str(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert process.returncode != 0
+        assert "pending" in process.stderr
+        assert 'if __name__ == "__main__":' in process.stderr
+        assert _runs_left(tmp_path / "cache") == []
+
+    def test_custom_config_is_rejected_above_one_job(self):
+        with pytest.raises(ValueError, match="profile"):
+            run_experiment(TINY_SPEC, config=EvaluationConfig.standard(), jobs=2)
 
 
 class TestArtifactCache:
@@ -186,9 +276,9 @@ class TestPlan:
         with pytest.raises(ValueError, match="at least one model"):
             build_plan([], (), ("Building 1",), ("OP3",))
 
-    def test_engine_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            ExecutionEngine(EvaluationConfig.quick(), jobs=0)
+    def test_engine_rejects_bad_jobs(self, quick_spec):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(quick_spec, jobs=0)
 
 
 class TestEngineUnits:

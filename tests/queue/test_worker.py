@@ -11,7 +11,9 @@ runs produce bit-identical ResultSets"):
 * a unit that exhausts its attempts is parked as failed and its dependents
   are skipped — the run drains degraded instead of deadlocking;
 * two spawned worker processes sharing the cache directory produce the same
-  records as the serial path.
+  records as the serial path;
+* one worker that drains two runs of the same model label under different
+  params serves each run its own trained model.
 """
 
 from __future__ import annotations
@@ -193,3 +195,32 @@ class TestMultiProcess:
         ledger = RunLedger.submit(spec, cache)
         with pytest.raises(ValueError, match="cannot cross process"):
             work(cache, ledger.run_id, workers=2, execute=lambda *a: {})
+
+
+class TestWorkerMemo:
+    def test_worker_draining_two_runs_trains_each_runs_model(self, tmp_path):
+        """The per-worker model memo is keyed by the model artefact, not by
+        the (label, defense) pair the two runs share."""
+
+        def dnn_spec(epochs: int) -> ExperimentSpec:
+            return ExperimentSpec(
+                models=({"name": "DNN", "params": {"epochs": epochs}},),
+                profile="quick",
+                devices=("OP3",),
+                attack_methods=("FGSM",),
+                epsilons=(0.3,),
+                phi_percents=(50.0,),
+            )
+
+        cache = ArtifactCache(tmp_path / "cache")
+        drained = []
+        for epochs in (5, 30):
+            ledger = RunLedger.submit(dnn_spec(epochs), cache)
+            assert work(cache, ledger.run_id, workers=1, options=FAST)
+            drained.append(collect_results(ledger).to_records())
+        serial = [
+            run_experiment(dnn_spec(epochs), cache=False).to_records()
+            for epochs in (5, 30)
+        ]
+        assert serial[0] != serial[1]
+        assert drained == serial

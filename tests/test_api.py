@@ -17,6 +17,7 @@ from repro.api import (
 )
 from repro.baselines import KNNLocalizer
 from repro.eval import AttackScenario, EvaluationConfig, ExperimentRunner, fig6_spec
+from repro.eval.engine import ExecutionEngine
 from repro.eval.metrics import error_stats
 from repro.eval.runner import EvaluationRecord, ResultSet
 from repro.interfaces import ErrorSummary
@@ -140,13 +141,13 @@ class TestExperimentSpec:
 
 class TestRunSpec:
     def test_spec_execution_matches_legacy_path(self):
-        """runner.run(spec-from-JSON) == the factory-dict path, record for record."""
+        """run_experiment(spec-from-JSON) == the factory-dict path, record for record."""
         config = SMALL_CONFIG
         legacy = ExperimentRunner(config).evaluate_models(
             {"KNN": lambda: KNNLocalizer()}, config.scenarios()
         )
         spec = ExperimentSpec.from_json(json.dumps({"models": ["KNN"]}))
-        fresh = ExperimentRunner(config).run(spec)
+        fresh = run_experiment(spec, config=config)
         assert len(fresh) == len(legacy) > 0
         for got, expected in zip(fresh.records, legacy.records):
             assert got.model == expected.model
@@ -156,11 +157,11 @@ class TestRunSpec:
     def test_run_experiment_uses_spec_profile(self, monkeypatch):
         captured = {}
 
-        def fake_run(self, spec):
+        def fake_run(self, *args, **kwargs):
             captured["config"] = self.config
             return ResultSet()
 
-        monkeypatch.setattr(ExperimentRunner, "run", fake_run)
+        monkeypatch.setattr(ExecutionEngine, "run", fake_run)
         spec = ExperimentSpec(models=("KNN",), profile="standard")
         run_experiment(spec)
         assert captured["config"] == EvaluationConfig.standard()

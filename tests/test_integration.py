@@ -20,8 +20,9 @@ from repro.attacks import (
     ThreatModel,
     attack_dataset,
 )
-from repro.baselines import DNNLocalizer, KNNLocalizer, make_baseline
+from repro.baselines import DNNLocalizer, KNNLocalizer
 from repro.data import CampaignConfig, collect_campaign, save_dataset_csv, load_dataset_csv
+from repro.registry import make_localizer
 
 
 class TestOfflineOnlinePipeline:
@@ -111,7 +112,7 @@ class TestDataInterchange:
             ("NaiveBayes", {}),
             ("DNN", {"epochs": 8, "seed": 0}),
         ):
-            model = make_baseline(name, **kwargs).fit(tiny_campaign.train)
+            model = make_localizer(name, **kwargs).fit(tiny_campaign.train)
             error = model.mean_error(tiny_campaign.test_for("OP3"))
             assert np.isfinite(error), name
 

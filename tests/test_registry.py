@@ -7,7 +7,7 @@ import pytest
 from repro.attacks import ThreatModel
 from repro.attacks.fgsm import FGSMAttack
 from repro.attacks.mitm import SignalManipulationAttack, SignalSpoofingAttack
-from repro.baselines import BASELINE_REGISTRY, KNNLocalizer, make_baseline
+from repro.baselines import BASELINE_REGISTRY, KNNLocalizer
 from repro.core import CALLOC
 from repro.registry import (
     ATTACKS,
@@ -125,12 +125,12 @@ class TestLegacyShims:
         for name, factory in BASELINE_REGISTRY.items():
             assert LOCALIZERS.get(name) is factory
 
-    def test_make_baseline_delegates_to_registry(self):
-        model = make_baseline("KNN", k=7)
+    def test_make_localizer_builds_registered_baselines(self):
+        model = make_localizer("KNN", k=7)
         assert isinstance(model, KNNLocalizer)
         assert model.k == 7
         with pytest.raises(KeyError):
-            make_baseline("ResNet")
+            make_localizer("ResNet")
 
     def test_register_localizer_decorator_is_global(self):
         sentinel = object()

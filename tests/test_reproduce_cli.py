@@ -12,15 +12,32 @@ from repro.reproduce import ARTEFACTS, build_parser, main, run_artefact
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.artefact == "all"
+        args = build_parser().parse_args(["artefact", "all"])
+        assert args.command == "artefact"
+        assert args.names == ["all"]
         assert args.profile == "quick"
         assert args.output_dir is None
-        assert args.command is None
 
     def test_rejects_unknown_artefact(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--artefact", "fig99"])
+            build_parser().parse_args(["artefact", "table3", "fig99"])
+
+    def test_no_subcommand_prints_usage_and_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([])
+        assert excinfo.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
+    def test_jobs_is_a_run_flag_only(self):
+        assert build_parser().parse_args(["run", "--jobs", "4"]).jobs == 4
+        for argv in (
+            ["--jobs", "2", "artefact", "table1"],
+            ["artefact", "table1", "--jobs", "2"],
+            ["run", "--executor", "thread"],
+            ["--artefact", "table3"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_artefact_subcommand_inherits_root_profile(self):
         args = build_parser().parse_args(["--profile", "full", "artefact", "fig6"])
@@ -66,7 +83,7 @@ class TestExecution:
         assert (tmp_path / "table1.txt").exists()
 
     def test_main_with_cheap_artefact(self, capsys, tmp_path):
-        exit_code = main(["--artefact", "table3", "--output-dir", str(tmp_path)])
+        exit_code = main(["artefact", "table3", "--output-dir", str(tmp_path)])
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "table3" in captured.out
