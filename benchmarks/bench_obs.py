@@ -55,7 +55,8 @@ from repro.api import (  # noqa: E402
     run_experiment,
 )
 from repro.obs import events, trace  # noqa: E402
-from repro.serve import ModelStore, ServiceClient, create_server  # noqa: E402
+from repro.serve import ModelStore, ServiceClient  # noqa: E402
+from repro.serve.aio.server import AioServerThread  # noqa: E402
 from repro.serve.http import ServingApp  # noqa: E402
 
 
@@ -215,17 +216,9 @@ def check_identity(
             ).to_records()
 
         direct = service.localize(queries)
-        server = create_server(store, port=0, max_batch=64, max_wait_ms=2.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
-            with ServiceClient(f"http://{host}:{port}") as client:
+        with AioServerThread(store, max_batch=64, max_wait_ms=2.0) as server:
+            with ServiceClient(server.base_url) as client:
                 via_http = client.localize(queries, model=endpoint)
-        finally:
-            server.shutdown()
-            server.app.close()
-            server.server_close()
     finally:
         trace.set_enabled(True)
 

@@ -22,17 +22,14 @@ between the two modes, against the direct
 
 On top of the in-process modes, the full HTTP tier is driven end to end:
 
-``http_stdlib_json``
-    The threaded stdlib server (``repro serve``).
 ``http_aio_json`` / ``http_aio_binary`` / ``http_aio_msgpack``
-    The asyncio front end (``repro serve --aio``) per negotiated body codec
+    The asyncio front end (``repro serve``) per negotiated body codec
     (msgpack only when the library is installed).
 ``http_workers_json``
     ``--workers`` ``SO_REUSEPORT`` acceptor processes behind one port
     (``repro serve --workers N``).
 
-Gates: the best asyncio mode must reach ``--min-aio-ratio`` × the stdlib
-throughput, and on machines with >= N CPUs, N workers must reach
+Gate: on machines with >= N CPUs, N workers must reach
 ``--min-worker-speedup`` × one process without raising p99 (single-CPU boxes
 only get a 0.8x no-pessimization floor).
 
@@ -67,7 +64,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without installing
 
 from repro import __version__  # noqa: E402
 from repro.api import PROFILES, LocalizationService  # noqa: E402
-from repro.serve import ModelStore, ServiceClient, create_server  # noqa: E402
+from repro.serve import ModelStore, ServiceClient  # noqa: E402
 from repro.serve.aio.protocol import (  # noqa: E402
     CONTENT_JSON,
     CONTENT_MSGPACK,
@@ -181,24 +178,8 @@ def run_http_benchmark(
     max_wait_ms: float,
     workers: int,
 ) -> Dict[str, object]:
-    """Drive the full HTTP tier: stdlib vs asyncio front end vs N workers."""
+    """Drive the full HTTP tier: the asyncio front end per body codec, then N workers."""
     modes: Dict[str, Dict[str, object]] = {}
-
-    print("http_stdlib_json (threaded stdlib server) ...", flush=True)
-    server = create_server(store, port=0, max_batch=max_batch, max_wait_ms=max_wait_ms)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[:2]
-        modes["http_stdlib_json"] = _drive_http(
-            f"http://{host}:{port}", endpoint, queries, threads
-        )
-    finally:
-        server.shutdown()
-        server.app.close()
-        server.server_close()
-    print(f"  {modes['http_stdlib_json']['wall_s']}s "
-          f"({modes['http_stdlib_json']['requests_per_s']} req/s)")
 
     aio_bodies = [("http_aio_json", CONTENT_JSON), ("http_aio_binary", CONTENT_NDARRAY)]
     if msgpack_available():
@@ -295,8 +276,8 @@ def run_benchmark(
               f"({modes['micro_batched']['requests_per_s']} req/s, "
               f"mean batch {batch_stats['mean_batch_size']})")
 
-        # HTTP tier: stdlib front end vs asyncio front end (per body codec)
-        # vs SO_REUSEPORT worker processes, all over the same stack.
+        # HTTP tier: the asyncio front end (per body codec) vs SO_REUSEPORT
+        # worker processes, all over the same stack.
         http = run_http_benchmark(
             store,
             endpoint,
@@ -318,12 +299,6 @@ def run_benchmark(
     speedup = (
         modes["micro_batched"]["requests_per_s"] / modes["per_request"]["requests_per_s"]  # type: ignore[operator]
     )
-    aio_best = max(
-        mode_report["requests_per_s"]
-        for mode, mode_report in http_modes.items()
-        if mode.startswith("http_aio_")
-    )
-    aio_ratio = aio_best / http_modes["http_stdlib_json"]["requests_per_s"]  # type: ignore[operator]
     workers_section: Optional[Dict[str, object]] = None
     if "http_workers_json" in http_modes:
         single = http_modes["http_aio_json"]
@@ -359,7 +334,6 @@ def run_benchmark(
         "http_requests": http_requests,
         "http_modes": http_modes,
         "throughput_speedup": round(speedup, 3),
-        "aio_vs_stdlib_ratio": round(aio_ratio, 3),
         "multi_worker": workers_section,
         "identical": identical,
     }
@@ -368,7 +342,6 @@ def run_benchmark(
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {output}")
     print(f"micro-batched throughput {speedup:.2f}x the per-request path")
-    print(f"best asyncio mode {aio_ratio:.2f}x the stdlib HTTP front end")
     if workers_section is not None:
         print(f"{workers} workers {workers_section['speedup_vs_single_aio']}x one "
               f"asyncio process (p99 {workers_section['p99_ms_workers']}ms vs "
@@ -403,9 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="SO_REUSEPORT worker processes for the aggregate "
                         "mode (1 disables it)")
-    parser.add_argument("--min-aio-ratio", type=float, default=1.0,
-                        help="fail unless the best asyncio mode reaches this "
-                        "factor over the stdlib front end (0 disables)")
     parser.add_argument("--min-worker-speedup", type=float, default=2.0,
                         help="fail unless N workers reach this factor over one "
                         "asyncio process — applied only when the machine has "
@@ -434,13 +404,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"FAIL: micro-batched speedup {report['throughput_speedup']:.2f}x below "
             f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_aio_ratio > 0 and report["aio_vs_stdlib_ratio"] < args.min_aio_ratio:
-        print(
-            f"FAIL: best asyncio mode only {report['aio_vs_stdlib_ratio']:.2f}x the "
-            f"stdlib front end, required {args.min_aio_ratio:.2f}x",
             file=sys.stderr,
         )
         return 1

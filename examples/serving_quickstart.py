@@ -7,8 +7,8 @@ This example walks the full production serving flow:
    engine (``LocalizationService.trained_on``);
 2. publish it to a versioned :class:`~repro.serve.ModelStore` under a name
    and a ``prod`` tag;
-3. start the ``repro serve`` HTTP API in-process (store → gateway →
-   micro-batcher → JSON);
+3. start the ``repro serve`` HTTP API in-process on a background thread
+   (store → gateway → micro-batcher → asyncio HTTP front end);
 4. query it through the thin :class:`~repro.serve.ServiceClient` and verify
    the HTTP predictions are bit-identical to the direct service call;
 5. inspect the serving metrics (per-endpoint latency, batching stats).
@@ -26,14 +26,13 @@ Run with:  python examples/serving_quickstart.py
 from __future__ import annotations
 
 import tempfile
-import threading
 
 import numpy as np
 
 from repro import LocalizationService, ModelStore, ServiceClient
 from repro.api import PROFILES
 from repro.data import CampaignConfig, collect_campaign, paper_building
-from repro.serve import create_server
+from repro.serve.aio.server import AioServerThread
 
 
 def main() -> None:
@@ -58,13 +57,11 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Serve it: store -> gateway -> micro-batching -> JSON over HTTP.
-    # Port 0 binds any free port; `repro serve` does the same standalone.
+    # The server binds any free port; `repro serve` runs it standalone.
     # ------------------------------------------------------------------
-    server = create_server(store, port=0, routes={"building-1/knn": "knn@prod"})
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}")
-    print(f"serving on http://{host}:{port}  (health: {client.health()['status']})")
+    server = AioServerThread(store, routes={"building-1/knn": "knn@prod"}).start()
+    client = ServiceClient(server.base_url)
+    print(f"serving on {server.base_url}  (health: {client.health()['status']})")
 
     # ------------------------------------------------------------------
     # Online phase: localize live fingerprints through the HTTP API.
@@ -96,9 +93,8 @@ def main() -> None:
     print(f"endpoint stats: {endpoint['requests']} request(s), "
           f"p50 {endpoint['latency_ms']['p50']} ms")
 
-    server.shutdown()
-    server.app.close()
-    server.server_close()
+    client.close()
+    server.close()
 
 
 if __name__ == "__main__":

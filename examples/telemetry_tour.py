@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import tempfile
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -36,7 +35,8 @@ from repro.api import PROFILES, ExperimentSpec, LocalizationService, run_experim
 from repro.eval.engine import ArtifactCache, simulate_campaign
 from repro.obs import events, trace
 from repro.obs.metrics import REGISTRY
-from repro.serve import ModelStore, ServiceClient, create_server
+from repro.serve import ModelStore, ServiceClient
+from repro.serve.aio.server import AioServerThread
 
 
 def main() -> None:
@@ -90,12 +90,8 @@ def main() -> None:
     )
     store.publish(service, "knn", tags=("prod",))
 
-    server = create_server(store, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[:2]
-        base = f"http://{host}:{port}"
+    with AioServerThread(store) as server:
+        base = server.base_url
         config = PROFILES["quick"]()
         campaign, _ = simulate_campaign(
             "Building 1", config, ArtifactCache.coerce(False)
@@ -109,10 +105,6 @@ def main() -> None:
         print(f"\nprometheus exposition ({base}/metrics?format=prometheus):")
         for line in lines[:6]:
             print(f"  {line}")
-    finally:
-        server.shutdown()
-        server.app.close()
-        server.server_close()
 
     # ------------------------------------------------------------------
     # 4. Your own spans and metrics ride the same rails.

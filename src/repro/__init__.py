@@ -30,7 +30,7 @@ Localization.  The package provides:
   :class:`ModelStore` (``publish``/``resolve``/``promote``), the
   multi-tenant :class:`Gateway` with LRU loading and per-endpoint metrics,
   the :class:`MicroBatcher` throughput executor, and the ``repro serve``
-  JSON API with its :class:`ServiceClient`.
+  asyncio HTTP API (JSON or binary bodies) with its :class:`ServiceClient`.
 
 Quickstart::
 
@@ -87,7 +87,7 @@ from .registry import (
 from .queue import QueueWorker, RunLedger, WorkerOptions, collect_results
 from .serve import Gateway, MicroBatcher, ModelStore, ServiceClient
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CALLOC",

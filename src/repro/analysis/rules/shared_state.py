@@ -1,8 +1,8 @@
 """R4 — shared mutable state: module-level containers must be race-safe.
 
-Queue workers can be threads in one process, and the serving layer is a
-``ThreadingHTTPServer`` — any module-level dict/list/set that functions
-mutate is shared across all of them.  The rule requires every *mutated* module-level container to be
+Queue workers can be threads in one process, and the serving layer runs
+micro-batcher flusher threads and an executor pool — any module-level
+dict/list/set that functions mutate is shared across all of them.  The rule requires every *mutated* module-level container to be
 
 * a ``threading.local`` (or an instance of a ``threading.local`` subclass
   defined in the same module), or

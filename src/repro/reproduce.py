@@ -513,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="ENDPOINT=REF[,shadow=REF,...]",
         help="map a tenant endpoint to a store ref (repeatable), "
-        "e.g. --route building-1/calloc=calloc@prod; the asyncio tier also "
-        "accepts ENDPOINT=REF[,shadow=REF][,fraction=P][,policy=mirror|split]"
+        "e.g. --route building-1/calloc=calloc@prod; also accepts "
+        "ENDPOINT=REF[,shadow=REF][,fraction=P][,policy=mirror|split]"
         "[,seed=N] for deterministic canary routing",
     )
     serve.add_argument(
@@ -548,25 +548,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="train a quick-profile model through the cached engine and publish "
         "it (as <model lowercased>) before serving — handy for smoke tests",
     )
-    serve.add_argument(
-        "--aio",
-        action="store_true",
-        help="use the asyncio front end (keep-alive pipelining, binary bodies, "
-        "shadow routing, manifest-watch hot promote); implied by --workers > 1",
-    )
+    # The asyncio front end is the only one; --aio still parses so existing
+    # scripts that pass it keep working.
+    serve.add_argument("--aio", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
         "--workers",
         type=int,
         default=1,
         help="number of SO_REUSEPORT acceptor processes sharing the port "
-        "(> 1 implies --aio and starts a restart supervisor)",
+        "(> 1 starts a restart supervisor)",
     )
     serve.add_argument(
         "--watch-interval",
         type=float,
         default=0.25,
         metavar="SECONDS",
-        help="asyncio tier: how often to re-check the store manifest for "
+        help="how often to re-check the store manifest for "
         "promotions (0 = stat on every request)",
     )
     serve.add_argument(
@@ -855,19 +852,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"published {version.ref} for serving")
     if args.workers < 1:
         raise SystemExit("error: --workers must be >= 1")
-    use_aio = args.aio or args.workers > 1
     routes = {}
     for item in args.route:
         try:
             endpoint, spec = parse_route(item)
         except ValueError as error:
             raise SystemExit(f"error: {error}") from error
-        if spec.has_shadow and not use_aio:
-            raise SystemExit(
-                f"error: --route '{item}' uses shadow routing, which needs the "
-                "asyncio tier; add --aio (or --workers N)"
-            )
-        routes[endpoint] = spec if use_aio else spec.ref
+        routes[endpoint] = spec
     if args.workers > 1:
         from .serve.aio.supervisor import serve_workers
 
@@ -883,7 +874,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_loaded=args.max_loaded,
             watch_interval_s=args.watch_interval,
         )
-    elif use_aio:
+    else:
         from .serve.aio.server import serve_aio
 
         serve_aio(
@@ -896,19 +887,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_wait_ms=args.max_wait_ms,
             max_loaded=args.max_loaded,
             watch_interval_s=args.watch_interval,
-        )
-    else:
-        from .serve.http import serve as serve_forever
-
-        serve_forever(
-            store,
-            host=args.host,
-            port=args.port,
-            routes=routes,
-            batching=not args.no_batching,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_loaded=args.max_loaded,
         )
     return 0
 

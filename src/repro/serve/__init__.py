@@ -16,10 +16,11 @@ localizing live fingerprints at serving scale:
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, a throughput-oriented
   executor that coalesces requests from many callers into one batched
   ``localize`` call (max-batch / max-wait knobs) with bit-identical results.
-* :mod:`repro.serve.http` — the ``repro serve`` JSON API
-  (``POST /v1/localize``, ``GET /v1/models``, ``/healthz``, ``/metrics``) on
-  the stdlib :mod:`http.server`, plus the keep-alive :class:`ServiceClient`.
-* :mod:`repro.serve.aio` — the production front end: asyncio keep-alive/
+* :mod:`repro.serve.http` — :class:`ServingApp`, the application behind
+  the ``repro serve`` API (``POST /v1/localize``, ``GET /v1/models``,
+  ``/healthz``, ``/metrics``): gateway, micro-batchers, shadow routing and
+  HTTP accounting; plus the keep-alive :class:`ServiceClient`.
+* :mod:`repro.serve.aio` — the HTTP front end: asyncio keep-alive/
   pipelined HTTP with binary body codecs, ``SO_REUSEPORT`` multi-process
   workers, manifest-watch hot promote/rollback, and deterministic
   shadow/canary routing with the ``repro store promote --if-canary-ok``
@@ -27,7 +28,7 @@ localizing live fingerprints at serving scale:
 
 Quickstart::
 
-    from repro.serve import ModelStore, Gateway, serve
+    from repro.serve import ModelStore, serve_aio
     from repro import LocalizationService
 
     store = ModelStore("./store")
@@ -35,12 +36,12 @@ Quickstart::
     store.publish(service, "knn", tags=("prod",))
 
     restored = store.resolve("knn@prod")      # bit-identical service
-    serve(store, port=8080)                   # or: repro serve --store ./store
+    serve_aio(store, port=8080)               # or: repro serve --store ./store
 """
 
 from .batching import BatchStats, MicroBatcher
 from .gateway import EndpointStats, Gateway
-from .http import ServiceClient, ServingApp, create_server, serve
+from .http import ServiceClient, ServingApp
 from .store import ModelStore, ModelVersion, StoreError
 
 __all__ = [
@@ -53,11 +54,8 @@ __all__ = [
     "BatchStats",
     "ServingApp",
     "ServiceClient",
-    "create_server",
-    "serve",
     # asyncio tier (lazy — importing the aio server pulls in asyncio plumbing
     # that plain store/gateway users never need):
-    "AsyncServingApp",
     "AioServerThread",
     "RouteSpec",
     "ServeSupervisor",
@@ -68,7 +66,6 @@ __all__ = [
 ]
 
 _LAZY_AIO = {
-    "AsyncServingApp",
     "AioServerThread",
     "RouteSpec",
     "ServeSupervisor",

@@ -1,7 +1,7 @@
 """Asyncio serving tier: event-loop front end, worker fleet, canary routing.
 
-The operable half of :mod:`repro.serve` — everything the stdlib demo server
-could not do at production shape:
+The transport half of :mod:`repro.serve` (the application behind it is
+:class:`repro.serve.http.ServingApp`):
 
 * :mod:`repro.serve.aio.protocol` — wire codecs (JSON / raw-ndarray /
   optional msgpack) and the shared localize request/response semantics.
@@ -10,14 +10,14 @@ could not do at production shape:
   registry (``mirror``/``split``), paired primary-vs-shadow stats and the
   :func:`~repro.serve.aio.routing.canary_ok` promotion gate.
 * :mod:`repro.serve.aio.server` — the keep-alive/pipelining asyncio HTTP
-  server bridging into the synchronous micro-batcher, bit-identical to the
-  stdlib path.
+  server bridging into the synchronous micro-batcher, bit-identical to a
+  direct ``localize`` call.
 * :mod:`repro.serve.aio.supervisor` — N ``SO_REUSEPORT`` acceptor processes
   over one shared on-disk store, with restart-on-death supervision.
 
 ``server`` and ``supervisor`` are re-exported lazily: they import
-:mod:`repro.serve.http` (for the shared :class:`ServingApp`), which in turn
-imports this package's codecs — eager imports here would close that cycle
+:mod:`repro.serve.http` (for :class:`ServingApp`), which in turn imports this
+package's codecs and routing — eager imports here would close that cycle
 while :mod:`repro.serve.http` is still initialising.
 """
 
@@ -56,7 +56,6 @@ __all__ = [
     "canary_ok",
     "parse_route",
     # lazily resolved (see __getattr__):
-    "AsyncServingApp",
     "AioServer",
     "AioServerThread",
     "serve_aio",
@@ -65,7 +64,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "AsyncServingApp": "server",
     "AioServer": "server",
     "AioServerThread": "server",
     "serve_aio": "server",

@@ -19,9 +19,8 @@ Three request/response body encodings, negotiated per request via
     415 otherwise.
 
 The module also hosts the *semantic* half of ``POST /v1/localize`` —
-:func:`parse_localize_payload` and :func:`build_localize_document` — shared
-by the stdlib :class:`~repro.serve.http.ServingApp` and the asyncio server so
-the two front ends cannot drift apart in validation or response shape.
+:func:`parse_localize_payload` and :func:`build_localize_document` — which
+:class:`~repro.serve.http.ServingApp` applies to every request body.
 """
 
 from __future__ import annotations

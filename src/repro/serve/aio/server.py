@@ -1,9 +1,8 @@
-"""asyncio front end: keep-alive, pipelining, binary bodies, shadow routing.
+"""asyncio HTTP front end: keep-alive, pipelining, negotiated body codecs.
 
-The stdlib server (:mod:`repro.serve.http`) spends one OS thread per
-connection and one JSON encode/decode per request.  This front end replaces
-the transport while keeping the entire serving stack behind it — gateway,
-pinned hot-promote refs, micro-batcher, guard accounting — byte-identical:
+The transport of ``repro serve``; everything behind it — gateway, pinned
+hot-promote refs, micro-batcher, guard accounting, shadow routing — is the
+:class:`~repro.serve.http.ServingApp`:
 
 * one :func:`asyncio.start_server` event loop handles every connection
   (HTTP/1.1 keep-alive; pipelined requests are parsed as they arrive,
@@ -13,47 +12,35 @@ pinned hot-promote refs, micro-batcher, guard accounting — byte-identical:
 * the synchronous :class:`~repro.serve.batching.MicroBatcher` is bridged with
   :func:`asyncio.wrap_future` on the ``concurrent.futures.Future`` its
   ``submit`` returns — the event loop never blocks on inference, and
-  concurrent asyncio requests coalesce into batches exactly like server
-  threads did;
-* shadowed routes (``--route ep=REF,shadow=REF2,fraction=p``) mirror or
-  split a deterministic request fraction onto a candidate version and keep
-  paired primary-vs-shadow stats for ``GET /metrics`` (see :mod:`.routing`).
+  concurrent requests coalesce into batches;
+* request bodies are framed by ``Content-Length`` only: a request carrying
+  ``Transfer-Encoding`` is answered ``411`` and its connection closed.
 
 :class:`AioServerThread` runs the whole thing on a background thread for
-tests and benchmarks; :func:`serve_aio` is the blocking single-process entry
-point behind ``repro serve --aio`` (multi-process is
+tests, benchmarks and embedding; :func:`serve_aio` is the blocking
+single-process entry point behind ``repro serve`` (multi-process is
 :mod:`repro.serve.aio.supervisor`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import json
 import threading
-import time
 import urllib.parse
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
-
-import numpy as np
+from concurrent.futures import Future
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ...defenses.base import GuardRejectedError
 from ...obs import prom, trace
 from ..http import ServingApp
 from ..store import ModelStore, StoreError
 from . import protocol
-from .routing import (
-    RouteSpec,
-    RoutingDecision,
-    ShadowStats,
-    decide_route,
-    parse_route_value,
-)
+from .routing import RouteSpec
 
-__all__ = ["AsyncServingApp", "AioServer", "AioServerThread", "serve_aio"]
+__all__ = ["AioServer", "AioServerThread", "serve_aio"]
 
-#: Max accepted request body (64 MiB), matching the stdlib handler.
+#: Max accepted request body (64 MiB) — a campaign-sized batch fits easily.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Stream buffer limit — request heads (line + headers) must fit in this.
 MAX_HEADER_BYTES = 64 * 1024
@@ -64,6 +51,7 @@ _REASONS = {
     403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
+    411: "Length Required",
     413: "Payload Too Large",
     415: "Unsupported Media Type",
     431: "Request Header Fields Too Large",
@@ -72,11 +60,16 @@ _REASONS = {
 
 
 class _HttpError(Exception):
-    """A transport-level request defect (status + message, connection closes)."""
+    """A transport-level request defect (status + message, connection closes).
 
-    def __init__(self, status: int, message: str) -> None:
+    ``endpoint`` labels its accounting: the request path once the request
+    line parsed, ``_malformed`` before that.
+    """
+
+    def __init__(self, status: int, message: str, endpoint: str = "_malformed") -> None:
         super().__init__(message)
         self.status = status
+        self.endpoint = endpoint
 
 
 class _Request:
@@ -99,214 +92,8 @@ class _Request:
         self.keep_alive = keep_alive
 
 
-def _flag_count(result: Any) -> int:
-    flags = getattr(result, "guard_flags", None)
-    return int(flags.sum()) if flags is not None else 0
-
-
-class AsyncServingApp:
-    """The asyncio serving application: sync stack behind, coroutines in front.
-
-    Wraps the synchronous :class:`~repro.serve.http.ServingApp` (gateway +
-    per-endpoint micro-batchers) rather than reimplementing it, so both front
-    ends serve bit-identical responses from the same machinery.  On top it
-    adds what only makes sense with an event loop: shadow mirroring as
-    background tasks and the executor bridge for blocking store I/O.
-
-    ``routes`` values may be plain store refs (``"knn@prod"``) or
-    :class:`~repro.serve.aio.routing.RouteSpec` objects carrying a shadow
-    configuration.
-    """
-
-    def __init__(
-        self,
-        store: Union[ModelStore, str, None],
-        routes: Optional[Mapping[str, Union[str, RouteSpec]]] = None,
-        batching: bool = True,
-        max_batch: int = 64,
-        max_wait_ms: float = 5.0,
-        max_loaded: int = 8,
-        watch_interval_s: float = 0.0,
-        stats_window: int = 1024,
-        executor_threads: int = 8,
-        worker_id: Optional[int] = None,
-    ) -> None:
-        if not isinstance(store, ModelStore):
-            store = ModelStore(store)
-        # String values accept the full canary grammar
-        # ("REF[,shadow=REF][,fraction=P]..."), so supervisor configs and CLI
-        # route maps need no RouteSpec plumbing.
-        self.route_specs: Dict[str, RouteSpec] = {
-            endpoint: spec if isinstance(spec, RouteSpec) else parse_route_value(str(spec))
-            for endpoint, spec in (routes or {}).items()
-        }
-        self.app = ServingApp(
-            store,
-            routes={ep: spec.ref for ep, spec in self.route_specs.items()},
-            max_loaded=max_loaded,
-            batching=batching,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            watch_interval_s=watch_interval_s,
-            stats_window=stats_window,
-        )
-        self.shadow_stats: Dict[str, ShadowStats] = {
-            endpoint: ShadowStats(
-                endpoint, spec, window=stats_window, registry=self.app.registry
-            )
-            for endpoint, spec in self.route_specs.items()
-            if spec.has_shadow
-        }
-        self.worker_id = worker_id
-        self.connections = 0
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="repro-aio"
-        )
-        self._shadow_tasks: Set["asyncio.Task[None]"] = set()
-
-    @property
-    def gateway(self):
-        return self.app.gateway
-
-    @property
-    def registry(self):
-        return self.app.registry
-
-    # -- inference ------------------------------------------------------
-    async def _score(self, endpoint: str, features: np.ndarray):
-        """One batch through the sync stack without blocking the event loop."""
-        loop = asyncio.get_running_loop()
-        # Executor threads start from an empty contextvars context; running
-        # the call inside a copy of *this* task's context keeps the live
-        # request span parented through the thread hop.
-        context = contextvars.copy_context()
-        if self.app.batching:
-            # First-load store I/O (and the 404 for unknown names) happens on
-            # the executor; the batcher future then bridges straight back.
-            await loop.run_in_executor(
-                self._executor, context.run, self.app.gateway.service_for, endpoint
-            )
-            return await asyncio.wrap_future(
-                self.app.batcher_for(endpoint).submit(features)
-            )
-        return await loop.run_in_executor(
-            self._executor, context.run, self.app.gateway.localize, endpoint, features
-        )
-
-    async def localize_document_async(
-        self, payload: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        """Async twin of :meth:`ServingApp.localize_document`, plus routing."""
-        endpoint, features, probabilities = protocol.parse_localize_payload(payload)
-        spec = self.route_specs.get(endpoint)
-        stats = self.shadow_stats.get(endpoint)
-        decision = (
-            decide_route(spec, features)
-            if spec is not None and spec.has_shadow
-            else RoutingDecision()
-        )
-        target = spec.shadow if decision.serve_shadow else endpoint
-        start = time.perf_counter()
-        result = await self._score(target, features)
-        elapsed = time.perf_counter() - start
-        if stats is not None:
-            stats.record_request(decision)
-            if decision.serve_shadow:
-                stats.record_arm("shadow", elapsed, len(result), _flag_count(result))
-            elif decision.mirror_shadow:
-                stats.record_arm("primary", elapsed, len(result), _flag_count(result))
-                task = asyncio.get_running_loop().create_task(
-                    self._mirror(spec, stats, features, result)
-                )
-                self._shadow_tasks.add(task)
-                task.add_done_callback(self._shadow_tasks.discard)
-        # Stamped by the gateway at scoring time — re-reading the pin here
-        # could race a concurrent promote and tear the response.
-        ref = result.served_ref or self.gateway.resolved_version(target)
-        return protocol.build_localize_document(endpoint, ref, result, probabilities)
-
-    async def _mirror(
-        self,
-        spec: RouteSpec,
-        stats: ShadowStats,
-        features: np.ndarray,
-        primary_result: Any,
-    ) -> None:
-        """Score a mirrored copy on the shadow and record the paired outcome."""
-        start = time.perf_counter()
-        try:
-            shadow_result = await self._score(spec.shadow, features)
-        except GuardRejectedError as error:
-            # The candidate's enforcing guard rejected traffic the primary
-            # served: that is signal, not noise — count the flags so the
-            # canary comparison sees the stricter guard.
-            stats.record_arm(
-                "shadow",
-                time.perf_counter() - start,
-                features.shape[0],
-                len(error.flagged_indices),
-            )
-            return
-        except Exception:
-            stats.record_shadow_error()
-            return
-        stats.record_arm(
-            "shadow",
-            time.perf_counter() - start,
-            len(shadow_result),
-            _flag_count(shadow_result),
-        )
-        mismatches = int(
-            np.sum(
-                np.asarray(primary_result.labels) != np.asarray(shadow_result.labels)
-            )
-        )
-        stats.record_comparison(mismatches, len(shadow_result))
-
-    # -- documents ------------------------------------------------------
-    def health_document(self) -> Dict[str, Any]:
-        document = self.app.health_document()
-        document["frontend"] = "aio"
-        document["content_types"] = protocol.supported_content_types()
-        if self.worker_id is not None:
-            document["worker"] = self.worker_id
-        return document
-
-    def metrics_document(self) -> Dict[str, Any]:
-        document = self.app.metrics_document()
-        document["shadow"] = {
-            endpoint: stats.as_dict() for endpoint, stats in self.shadow_stats.items()
-        }
-        if self.worker_id is not None:
-            document["worker"] = self.worker_id
-        return document
-
-    def models_document(self) -> Dict[str, Any]:
-        document = self.app.models_document()
-        shadowed = {
-            endpoint: spec.as_dict()
-            for endpoint, spec in self.route_specs.items()
-            if spec.has_shadow
-        }
-        if shadowed:
-            document["shadow_routes"] = shadowed
-        return document
-
-    # -- lifecycle ------------------------------------------------------
-    async def shadow_quiesce(self) -> None:
-        """Wait until every in-flight shadow mirror task has recorded."""
-        while self._shadow_tasks:
-            await asyncio.gather(*list(self._shadow_tasks), return_exceptions=True)
-
-    async def aclose(self) -> None:
-        """Drain in-flight shadow tasks, then tear down the sync stack."""
-        await self.shadow_quiesce()
-        self.app.close()
-        self._executor.shutdown(wait=False)
-
-
 class AioServer:
-    """One event-loop HTTP server over an :class:`AsyncServingApp`.
+    """One event-loop HTTP server over a :class:`ServingApp`.
 
     ``reuse_port=True`` lets N worker processes bind the same address and have
     the kernel load-balance accepted connections across them (the
@@ -315,7 +102,7 @@ class AioServer:
 
     def __init__(
         self,
-        app: AsyncServingApp,
+        app: ServingApp,
         host: str = "127.0.0.1",
         port: int = 8080,
         reuse_port: bool = False,
@@ -357,8 +144,7 @@ class AioServer:
         FIFO queue drained by one writer coroutine guarantees response order
         matches request order (the HTTP/1.1 pipelining contract).
         """
-        self.app.connections += 1
-        conn = self.app.app.connection_metrics("aio")
+        conn = self.app.connection_metrics
         conn.connection_opened()
         requests_on_connection = 0
         queue: "asyncio.Queue[Optional[Future]]" = asyncio.Queue(maxsize=64)
@@ -372,6 +158,8 @@ class AioServer:
                 try:
                     request = await _read_request(reader)
                 except _HttpError as error:
+                    self.app.record_http_request(error.endpoint)
+                    self.app.record_http_response(error.endpoint, error.status)
                     await queue.put(
                         _completed(_error_response(error.status, str(error), False))
                     )
@@ -425,7 +213,7 @@ class AioServer:
 
     async def _respond(self, request: _Request) -> bytes:
         keep = request.keep_alive
-        serving = self.app.app
+        app = self.app
         # Until the body is decoded, the best endpoint label is the path; a
         # localize request re-labels to the model it asked for (resolvable or
         # not — satellite accounting must show unknown endpoints' 404s).
@@ -437,7 +225,7 @@ class AioServer:
         ) as sp:
             try:
                 if request.method == "GET":
-                    serving.record_http_request("aio", endpoint)
+                    app.record_http_request(endpoint)
                     counted = True
                     status, data = await self._respond_get(request)
                     return data
@@ -453,11 +241,11 @@ class AioServer:
                     request.headers.get("content-type")
                 )
                 payload = protocol.decode_body(request.body, content_type)
-                endpoint = serving.requested_endpoint(payload)
-                serving.record_http_request("aio", endpoint)
+                endpoint = app.requested_endpoint(payload)
+                app.record_http_request(endpoint)
                 counted = True
                 sp.set(endpoint=endpoint, content_type=content_type)
-                document = await self.app.localize_document_async(payload)
+                document = await app.localize_document(payload)
                 sp.set(
                     served_ref=document.get("ref"),
                     batch=len(document.get("labels", ())),
@@ -489,8 +277,8 @@ class AioServer:
                 return _error_response(500, f"{type(error).__name__}: {error}", keep)
             finally:
                 if not counted:
-                    serving.record_http_request("aio", endpoint)
-                serving.record_http_response("aio", endpoint, status)
+                    app.record_http_request(endpoint)
+                app.record_http_response(endpoint, status)
                 sp.set(status=status)
 
     async def _respond_get(self, request: _Request) -> Tuple[int, bytes]:
@@ -503,9 +291,7 @@ class AioServer:
             if query.get("format", [""])[-1] == "prometheus":
                 # Rendering walks every registry series under their locks —
                 # cheap, but off the loop like the JSON document builders.
-                text = await loop.run_in_executor(
-                    app._executor, app.app.prometheus_text
-                )
+                text = await loop.run_in_executor(app._executor, app.prometheus_text)
                 return 200, _response(
                     200, text.encode("utf-8"), prom.CONTENT_TYPE_PROM, request.keep_alive
                 )
@@ -540,20 +326,25 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise _HttpError(400, f"malformed request line {lines[0]!r}")
     method, target, version = parts
+    path, _, query = target.partition("?")
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:
             continue
         key, separator, value = line.partition(":")
         if not separator:
-            raise _HttpError(400, f"malformed header line {line!r}")
+            raise _HttpError(400, f"malformed header line {line!r}", path)
         headers[key.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # Bodies are read by Content-Length alone; reading past a chunked
+        # body would parse its chunks as the next request.
+        raise _HttpError(411, "Transfer-Encoding is not supported; send Content-Length", path)
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
-        raise _HttpError(400, "invalid Content-Length") from None
+        raise _HttpError(400, "invalid Content-Length", path) from None
     if length < 0 or length > MAX_BODY_BYTES:
-        raise _HttpError(413, "invalid or oversized request body")
+        raise _HttpError(413, "invalid or oversized request body", path)
     try:
         body = await reader.readexactly(length) if length else b""
     except (asyncio.IncompleteReadError, ConnectionError):
@@ -562,7 +353,6 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
         version == "HTTP/1.1"
         and headers.get("connection", "keep-alive").lower() != "close"
     )
-    path, _, query = target.partition("?")
     return _Request(method, path, headers, body, keep_alive, query=query)
 
 
@@ -592,7 +382,7 @@ def _completed(data: bytes) -> Future:
 # Entry points
 # ----------------------------------------------------------------------
 async def _run_server(
-    app: AsyncServingApp,
+    app: ServingApp,
     host: str,
     port: int,
     reuse_port: bool,
@@ -636,8 +426,8 @@ def serve_aio(
     worker_id: Optional[int] = None,
     **app_kwargs,
 ) -> None:
-    """Blocking single-process asyncio server (``repro serve --aio``)."""
-    app = AsyncServingApp(store, routes=routes, worker_id=worker_id, **app_kwargs)
+    """Blocking single-process server behind ``repro serve``."""
+    app = ServingApp(store, routes=routes, worker_id=worker_id, **app_kwargs)
     try:
         asyncio.run(_run_server(app, host, port, reuse_port, announce))
     except KeyboardInterrupt:
@@ -645,7 +435,7 @@ def serve_aio(
 
 
 class AioServerThread:
-    """An asyncio server on a background thread (tests and benchmarks).
+    """An asyncio server on a background thread (tests, benchmarks, embedding).
 
     ``start()`` blocks until the port is bound (or raises the startup
     failure); ``close()`` stops the loop and joins the thread.  Usable as a
@@ -662,7 +452,7 @@ class AioServerThread:
         self._thread = threading.Thread(
             target=self._run, name="repro-aio-server", daemon=True
         )
-        self.app: Optional[AsyncServingApp] = None
+        self.app: Optional[ServingApp] = None
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
@@ -674,7 +464,7 @@ class AioServerThread:
                 self._started.set_exception(error)
 
     async def _main(self) -> None:
-        self.app = AsyncServingApp(self._store, **self._app_kwargs)
+        self.app = ServingApp(self._store, **self._app_kwargs)
         self._stop = asyncio.Event()
         await _run_server(
             self.app,

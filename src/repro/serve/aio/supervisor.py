@@ -1,6 +1,6 @@
 """Multi-process serving: N SO_REUSEPORT acceptor workers + a restart loop.
 
-``repro serve --aio --workers N`` runs N independent asyncio server
+``repro serve --workers N`` runs N independent asyncio server
 processes, every one binding the *same* ``(host, port)`` with
 ``SO_REUSEPORT`` — the kernel then load-balances accepted connections across
 the listening sockets, with no userspace proxy in the path.  Each worker
@@ -67,7 +67,7 @@ class ServeSupervisor:
         Per-worker-slot respawn budget; a slot that exhausts it stays down
         (``alive_workers`` then reports the shrunken fleet).
     app_kwargs:
-        Forwarded to every worker's :class:`~repro.serve.aio.server.AsyncServingApp`
+        Forwarded to every worker's :class:`~repro.serve.http.ServingApp`
         (batching knobs, ``watch_interval_s``, ...).
     """
 
@@ -243,7 +243,7 @@ def serve_workers(
     announce: bool = True,
     **app_kwargs,
 ) -> None:
-    """Blocking multi-process entry point (``repro serve --aio --workers N``)."""
+    """Blocking multi-process entry point (``repro serve --workers N``)."""
     supervisor = ServeSupervisor(
         store_root, host=host, port=port, workers=workers, routes=routes, **app_kwargs
     )

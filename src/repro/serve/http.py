@@ -1,4 +1,4 @@
-"""``repro serve``: a stdlib JSON API over the gateway, plus a thin client.
+"""The serving application behind ``repro serve``, plus a thin client.
 
 Endpoints
 ---------
@@ -8,6 +8,8 @@ Endpoints
     ``"probabilities": true`` to include class probabilities).  Responds with
     labels, coordinates, and per-query error estimates — bit-identical to a
     direct :meth:`LocalizationService.localize` call on the same arrays.
+    Bodies may be JSON, raw-ndarray or msgpack (:mod:`.aio.protocol`);
+    responses mirror the request encoding.
 ``GET /v1/models``
     The machine-readable model catalog: the store's published models (same
     entry shape as ``repro list-models --json``) plus the gateway's routes.
@@ -15,70 +17,74 @@ Endpoints
     Liveness probe: status, version, uptime, model count.
 ``GET /metrics``
     Gateway per-endpoint request counters and latency percentiles, plus
-    per-endpoint micro-batching stats.
+    per-endpoint micro-batching and shadow stats (``?format=prometheus``
+    renders the text exposition instead).
 
-Everything is stdlib (:mod:`http.server`, :mod:`urllib.request`): the serving
-layer adds no dependencies.  The server is a
-:class:`~http.server.ThreadingHTTPServer`, so concurrent tenant requests are
-what feeds the per-endpoint :class:`~repro.serve.batching.MicroBatcher`.
+:class:`ServingApp` is everything behind the wire; the asyncio front end in
+:mod:`repro.serve.aio.server` is its transport.
 
 Programmatic use::
 
-    server = create_server(ModelStore("./store"), port=0)     # 0 = any port
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    result = client.localize(fingerprints, model="calloc@prod")
+    with AioServerThread(ModelStore("./store")) as server:    # any free port
+        client = ServiceClient(server.base_url)
+        result = client.localize(fingerprints, model="calloc@prod")
 """
 
 from __future__ import annotations
 
+import contextvars
 import http.client
-import json
 import threading
 import time
 import urllib.parse
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Set, Union
 
 import numpy as np
 
 from ..defenses.base import GuardRejectedError
 from ..obs import metrics as obs_metrics
-from ..obs import prom, trace
+from ..obs import prom
 from ..obs.metrics import MetricsRegistry
-# The aio subpackage hosts the wire codecs and the shared localize
-# request/response semantics; both front ends route through them so the two
-# servers cannot drift apart in validation or response shape.
-from .aio.protocol import (
-    CONTENT_JSON,
-    build_localize_document,
-    decode_body,
-    encode_body,
-    normalize_content_type,
-    parse_localize_payload,
+# Codec calls go through the module (``protocol.<name>``), never a
+# from-import, so that patching the module's functions reaches every call.
+from .aio import protocol
+from .aio.routing import (
+    RouteSpec,
+    RoutingDecision,
+    ShadowStats,
+    decide_route,
+    parse_route_value,
 )
 from .batching import MicroBatcher
 from .gateway import Gateway
-from .store import ModelStore, StoreError
+from .store import ModelStore
 
 if TYPE_CHECKING:  # pragma: no cover
+    import asyncio
+
     from ..api import LocalizationResult
 
-__all__ = ["ConnectionMetrics", "ServingApp", "ServiceClient", "create_server", "serve"]
+# The coroutines below import asyncio on first use: ``import repro`` loads
+# this module, and code that never serves should not pay for the event loop.
+
+__all__ = ["ConnectionMetrics", "ServingApp", "ServiceClient"]
+
+#: The ``transport`` label of the HTTP series.  One front end is left, but the
+#: label is part of the ``/metrics`` and Prometheus format.
+TRANSPORT = "aio"
 
 
 class ConnectionMetrics:
-    """Connection lifecycle series for one server front end.
+    """Connection lifecycle series of the HTTP front end.
 
-    Both front ends (stdlib threads, asyncio loop) report through the same
-    registry families, labeled by transport: connections accepted and
-    closed, currently active, and keep-alive reuses (requests after the
-    first on one connection).
+    Connections accepted and closed, currently active, and keep-alive
+    reuses (requests after the first on one connection).
     """
 
-    def __init__(self, registry: MetricsRegistry, transport: str) -> None:
-        label = {"transport": transport}
+    def __init__(self, registry: MetricsRegistry) -> None:
+        label = {"transport": TRANSPORT}
         self.accepted = registry.counter(
             "repro_http_connections_accepted_total",
             "Connections accepted by the server", ("transport",),
@@ -111,48 +117,81 @@ class ConnectionMetrics:
             self.keepalive_reuses.inc()
 
 
+def _flag_count(result: Any) -> int:
+    flags = getattr(result, "guard_flags", None)
+    return int(flags.sum()) if flags is not None else 0
+
+
 class ServingApp:
-    """The serving application behind the HTTP handler (and the benchmarks).
+    """The serving application behind the HTTP front end (and the benchmarks).
 
     Owns the gateway plus one :class:`MicroBatcher` per endpoint (batches
     must never mix endpoints).  ``batching=False`` routes requests straight
     through the gateway — the per-request baseline the serving benchmark
-    compares against.
+    compares against.  :meth:`localize` is the synchronous in-process path;
+    the front end awaits :meth:`localize_document`, which adds shadow
+    routing and runs blocking store I/O on the app's executor so the event
+    loop never blocks.
 
-    Every serving metric — gateway, per-endpoint stats, batching, HTTP and
-    connection counters — lives in one :class:`MetricsRegistry` owned by the
-    app (a private one by default, so independent apps never share counts);
-    the Prometheus exposition renders it merged with the process-global
+    ``store`` may be a :class:`ModelStore` or a store root path.  ``routes``
+    values may be plain store refs (``"knn@prod"``), the canary grammar
+    (``"knn@prod,shadow=knn@v2,fraction=0.1"``) or
+    :class:`~repro.serve.aio.routing.RouteSpec` objects.  ``worker_id``
+    labels ``/healthz`` and ``/metrics`` in a multi-process fleet.
+
+    Every serving metric — gateway, per-endpoint stats, batching, shadow
+    arms, HTTP and connection counters — lives in one private
+    :class:`MetricsRegistry`, so independent apps never share counts; the
+    Prometheus exposition renders it merged with the process-global
     registry.
     """
 
     def __init__(
         self,
-        store: ModelStore,
-        routes: Optional[Mapping[str, str]] = None,
-        max_loaded: int = 8,
+        store: Union[ModelStore, str, None],
+        routes: Optional[Mapping[str, Union[str, RouteSpec]]] = None,
         batching: bool = True,
         max_batch: int = 64,
         max_wait_ms: float = 5.0,
+        max_loaded: int = 8,
         watch_interval_s: float = 0.0,
-        stats_window: int = 1024,
-        registry: Optional[MetricsRegistry] = None,
+        worker_id: Optional[int] = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        if not isinstance(store, ModelStore):
+            store = ModelStore(store)
+        # String values accept the full canary grammar
+        # ("REF[,shadow=REF][,fraction=P]..."), so supervisor configs and CLI
+        # route maps need no RouteSpec plumbing.
+        self.route_specs: Dict[str, RouteSpec] = {
+            endpoint: spec if isinstance(spec, RouteSpec) else parse_route_value(str(spec))
+            for endpoint, spec in (routes or {}).items()
+        }
+        self.registry = MetricsRegistry()
         self.gateway = Gateway(
             store,
             max_loaded=max_loaded,
-            routes=routes,
+            routes={ep: spec.ref for ep, spec in self.route_specs.items()},
             watch_interval_s=watch_interval_s,
-            stats_window=stats_window,
             registry=self.registry,
         )
+        self.shadow_stats: Dict[str, ShadowStats] = {
+            endpoint: ShadowStats(endpoint, spec, registry=self.registry)
+            for endpoint, spec in self.route_specs.items()
+            if spec.has_shadow
+        }
         self.batching = bool(batching)
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
+        self.worker_id = worker_id
         self.started_unix = time.time()
         self._batchers: Dict[str, MicroBatcher] = {}
         self._lock = threading.Lock()
+        # Runs blocking store I/O and document builders off the event loop.
+        self._executor = ThreadPoolExecutor(
+            max_workers=8, thread_name_prefix="repro-aio"
+        )
+        self._shadow_tasks: Set["asyncio.Task[None]"] = set()
+        self.connection_metrics = ConnectionMetrics(self.registry)
         # HTTP-layer accounting: requests are counted against the endpoint
         # *they asked for*, before model resolution, so unknown endpoints
         # show up in per-endpoint error rates (the gateway deliberately never
@@ -168,26 +207,15 @@ class ServingApp:
             "HTTP responses sent, by transport, requested endpoint and status",
             ("transport", "endpoint", "status"),
         )
-        self._conn_metrics: Dict[str, ConnectionMetrics] = {}
 
     # -- http accounting -------------------------------------------------
-    def connection_metrics(self, transport: str) -> ConnectionMetrics:
-        with self._lock:
-            existing = self._conn_metrics.get(transport)
-            if existing is None:
-                existing = ConnectionMetrics(self.registry, transport)
-                self._conn_metrics[transport] = existing
-            return existing
-
-    def record_http_request(self, transport: str, endpoint: str) -> None:
+    def record_http_request(self, endpoint: str) -> None:
         """Count one received request (pre-resolution; 404s included)."""
-        self._http_requests.labels(transport=transport, endpoint=endpoint).inc()
+        self._http_requests.labels(transport=TRANSPORT, endpoint=endpoint).inc()
 
-    def record_http_response(
-        self, transport: str, endpoint: str, status: int
-    ) -> None:
+    def record_http_response(self, endpoint: str, status: int) -> None:
         self._http_responses.labels(
-            transport=transport, endpoint=endpoint, status=str(int(status))
+            transport=TRANSPORT, endpoint=endpoint, status=str(int(status))
         ).inc()
 
     @staticmethod
@@ -230,42 +258,131 @@ class ServingApp:
             return self.batcher_for(endpoint).localize(features)
         return self.gateway.localize(endpoint, features)
 
-    def close(self) -> None:
-        with self._lock:
-            batchers = list(self._batchers.values())
-            self._batchers.clear()
-        for batcher in batchers:
-            batcher.close()
+    async def _score(self, endpoint: str, features: np.ndarray):
+        """One batch through the sync stack without blocking the event loop."""
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        # Executor threads start from an empty contextvars context; running
+        # the call inside a copy of *this* task's context keeps the live
+        # request span parented through the thread hop.
+        context = contextvars.copy_context()
+        if self.batching:
+            # First-load store I/O (and the 404 for unknown names) happens on
+            # the executor; the batcher future then bridges straight back.
+            await loop.run_in_executor(
+                self._executor, context.run, self.gateway.service_for, endpoint
+            )
+            return await asyncio.wrap_future(
+                self.batcher_for(endpoint).submit(features)
+            )
+        return await loop.run_in_executor(
+            self._executor, context.run, self.gateway.localize, endpoint, features
+        )
+
+    async def localize_document(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
+        """Handle a decoded ``POST /v1/localize`` body; returns the response."""
+        import asyncio
+
+        endpoint, features, probabilities = protocol.parse_localize_payload(payload)
+        spec = self.route_specs.get(endpoint)
+        stats = self.shadow_stats.get(endpoint)
+        decision = (
+            decide_route(spec, features)
+            if spec is not None and spec.has_shadow
+            else RoutingDecision()
+        )
+        target = spec.shadow if decision.serve_shadow else endpoint
+        start = time.perf_counter()
+        result = await self._score(target, features)
+        elapsed = time.perf_counter() - start
+        if stats is not None:
+            stats.record_request(decision)
+            if decision.serve_shadow:
+                stats.record_arm("shadow", elapsed, len(result), _flag_count(result))
+            elif decision.mirror_shadow:
+                stats.record_arm("primary", elapsed, len(result), _flag_count(result))
+                task = asyncio.get_running_loop().create_task(
+                    self._mirror(spec, stats, features, result)
+                )
+                self._shadow_tasks.add(task)
+                task.add_done_callback(self._shadow_tasks.discard)
+        # ``ref`` is the *pinned immutable version* the response came from
+        # (``knn@v2``), the field clients watch to observe a hot promote flip.
+        # The gateway stamps it at scoring time — re-reading the pin here
+        # could race a concurrent promote and tear the response.
+        ref = result.served_ref or self.gateway.resolved_version(target)
+        return protocol.build_localize_document(endpoint, ref, result, probabilities)
+
+    async def _mirror(
+        self,
+        spec: RouteSpec,
+        stats: ShadowStats,
+        features: np.ndarray,
+        primary_result: Any,
+    ) -> None:
+        """Score a mirrored copy on the shadow and record the paired outcome."""
+        start = time.perf_counter()
+        try:
+            shadow_result = await self._score(spec.shadow, features)
+        except GuardRejectedError as error:
+            # The candidate's enforcing guard rejected traffic the primary
+            # served: that is signal, not noise — count the flags so the
+            # canary comparison sees the stricter guard.
+            stats.record_arm(
+                "shadow",
+                time.perf_counter() - start,
+                features.shape[0],
+                len(error.flagged_indices),
+            )
+            return
+        except Exception:
+            stats.record_shadow_error()
+            return
+        stats.record_arm(
+            "shadow",
+            time.perf_counter() - start,
+            len(shadow_result),
+            _flag_count(shadow_result),
+        )
+        mismatches = int(
+            np.sum(
+                np.asarray(primary_result.labels) != np.asarray(shadow_result.labels)
+            )
+        )
+        stats.record_comparison(mismatches, len(shadow_result))
 
     # -- documents ------------------------------------------------------
-    def localize_document(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        """Handle a parsed ``POST /v1/localize`` body; returns the response."""
-        endpoint, features, probabilities = parse_localize_payload(payload)
-        result = self.localize(endpoint, features)
-        # ``ref`` is the *pinned immutable version* the response came from
-        # (``knn@v2``), not just the routed ref — the field clients watch to
-        # observe a hot promote flip.  The gateway stamps it at scoring time.
-        ref = result.served_ref or self.gateway.resolved_version(endpoint)
-        return build_localize_document(endpoint, ref, result, probabilities)
-
     def models_document(self) -> Dict[str, Any]:
         """``GET /v1/models``: the shared machine-readable catalog format."""
         from ..registry import catalog_document
 
         document = catalog_document("served-model", self.gateway.store.catalog())
         document["routes"] = self.gateway.routes()
+        shadowed = {
+            endpoint: spec.as_dict()
+            for endpoint, spec in self.route_specs.items()
+            if spec.has_shadow
+        }
+        if shadowed:
+            document["shadow_routes"] = shadowed
         return document
 
     def health_document(self) -> Dict[str, Any]:
         from .. import __version__
 
-        return {
+        document = {
             "status": "ok",
             "version": __version__,
             "uptime_s": round(time.time() - self.started_unix, 3),
             "models": len(self.gateway.store.list_models()),
             "batching": self.batching,
+            "frontend": "aio",
+            "content_types": protocol.supported_content_types(),
         }
+        if self.worker_id is not None:
+            document["worker"] = self.worker_id
+        return document
 
     def metrics_document(self) -> Dict[str, Any]:
         with self._lock:
@@ -273,7 +390,7 @@ class ServingApp:
                 endpoint: batcher.stats.as_dict()
                 for endpoint, batcher in self._batchers.items()
             }
-        return {
+        document = {
             "gateway": self.gateway.stats(),
             "batching": {
                 "enabled": self.batching,
@@ -281,23 +398,29 @@ class ServingApp:
                 "max_wait_ms": self.max_wait_ms,
                 "endpoints": batching,
             },
-            # Additive (existing keys above are unchanged): the HTTP layer's
-            # own accounting, including endpoints that never resolved.
+            # The HTTP layer's own accounting, including endpoints that
+            # never resolved.
             "server": self.server_document(),
+            "shadow": {
+                endpoint: stats.as_dict()
+                for endpoint, stats in self.shadow_stats.items()
+            },
         }
+        if self.worker_id is not None:
+            document["worker"] = self.worker_id
+        return document
 
     def server_document(self) -> Dict[str, Any]:
         """Transport-level accounting: connections and raw request counts."""
-        connections: Dict[str, Dict[str, int]] = {}
-        with self._lock:
-            conn_metrics = dict(self._conn_metrics)
-        for transport, conn in conn_metrics.items():
-            connections[transport] = {
+        conn = self.connection_metrics
+        connections = {
+            TRANSPORT: {
                 "accepted": int(conn.accepted.value),
                 "closed": int(conn.closed.value),
                 "active": int(conn.active.value),
                 "keepalive_reuses": int(conn.keepalive_reuses.value),
             }
+        }
         requests: Dict[str, Dict[str, int]] = {}
         for labels, series in self._http_requests.collect():
             (transport, endpoint) = labels["transport"], labels["endpoint"]
@@ -320,231 +443,27 @@ class ServingApp:
             obs_metrics.registries_for_exposition(self.registry)
         )
 
+    # -- lifecycle ------------------------------------------------------
+    async def shadow_quiesce(self) -> None:
+        """Wait until every in-flight shadow mirror task has recorded."""
+        import asyncio
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the four endpoints onto the :class:`ServingApp` documents."""
+        while self._shadow_tasks:
+            await asyncio.gather(*list(self._shadow_tasks), return_exceptions=True)
 
-    app: ServingApp  # injected via functools.partial in create_server
-    protocol_version = "HTTP/1.1"
-    #: Max accepted request body (64 MiB) — a campaign-sized batch fits easily.
-    max_body_bytes = 64 * 1024 * 1024
+    def close(self) -> None:
+        """Stop the batchers' flusher threads and the executor."""
+        with self._lock:
+            batchers = list(self._batchers.values())
+            self._batchers.clear()
+        for batcher in batchers:
+            batcher.close()
+        self._executor.shutdown(wait=False)
 
-    def __init__(self, app: ServingApp, *args, **kwargs) -> None:
-        self.app = app
-        self._requests_on_connection = 0
-        super().__init__(*args, **kwargs)
-
-    # -- plumbing -------------------------------------------------------
-    def setup(self) -> None:
-        self._conn = self.app.connection_metrics("stdlib")
-        self._conn.connection_opened()
-        super().setup()
-
-    def finish(self) -> None:
-        try:
-            super().finish()
-        finally:
-            self._conn.connection_closed()
-
-    def _count_request(self, endpoint: str) -> None:
-        """Per-connection + per-endpoint accounting, before any resolution."""
-        self._requests_on_connection += 1
-        self._conn.request_on_connection(self._requests_on_connection)
-        self.app.record_http_request("stdlib", endpoint)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep the serving process quiet; metrics carry the counters
-
-    def _send_json(
-        self, status: int, document: Mapping[str, Any], endpoint: str = ""
-    ) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self._send_body(status, body, "application/json", endpoint)
-
-    def _send_body(
-        self, status: int, body: bytes, content_type: str, endpoint: str = ""
-    ) -> None:
-        if endpoint:
-            self.app.record_http_response("stdlib", endpoint, status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(
-        self, status: int, message: str, endpoint: str = ""
-    ) -> None:
-        self._send_json(status, {"error": message}, endpoint)
-
-    # -- verbs ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        split = urllib.parse.urlsplit(self.path)
-        path = split.path
-        self._count_request(path)
-        with trace.span("http.request", transport="stdlib", method="GET") as sp:
-            sp.set(path=path)
-            if path == "/healthz":
-                self._send_json(200, self.app.health_document(), path)
-            elif path == "/metrics":
-                query = urllib.parse.parse_qs(split.query)
-                if query.get("format", [""])[-1] == "prometheus":
-                    self._send_body(
-                        200,
-                        self.app.prometheus_text().encode("utf-8"),
-                        prom.CONTENT_TYPE_PROM,
-                        path,
-                    )
-                else:
-                    self._send_json(200, self.app.metrics_document(), path)
-            elif path == "/v1/models":
-                self._send_json(200, self.app.models_document(), path)
-            else:
-                sp.set(status=404)
-                self._send_error_json(404, f"unknown path {path!r}", path)
-
-    def do_POST(self) -> None:  # noqa: N802
-        from .aio.protocol import ProtocolError, UnsupportedContentType
-
-        path = self.path.split("?", 1)[0]
-        if path != "/v1/localize":
-            self._count_request(path)
-            self._send_error_json(404, f"unknown path {path!r}", path)
-            return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0 or length > self.max_body_bytes:
-            self._count_request(path)
-            self._send_error_json(413, "invalid or oversized request body", path)
-            return
-        try:
-            content_type = normalize_content_type(self.headers.get("Content-Type"))
-            payload = decode_body(self.rfile.read(length), content_type)
-        except UnsupportedContentType as error:
-            self._count_request(path)
-            self._send_error_json(415, str(error), path)
-            return
-        except ProtocolError as error:
-            self._count_request(path)
-            self._send_error_json(400, str(error), path)
-            return
-        # Count against the endpoint the request *asked for*, before any
-        # resolution: an unknown model's 404s land on its own series.
-        endpoint = self.app.requested_endpoint(payload)
-        self._count_request(endpoint)
-        with trace.span(
-            "http.request",
-            transport="stdlib",
-            method="POST",
-            endpoint=endpoint,
-            content_type=content_type,
-        ) as sp:
-            try:
-                document = self.app.localize_document(payload)
-            except StoreError as error:
-                sp.set(status=404)
-                self._send_error_json(404, str(error), endpoint)
-            except GuardRejectedError as error:
-                # An enforcing inference guard flagged the request as
-                # adversarial; the flagged row indices let the client
-                # identify the offenders.
-                sp.set(status=403)
-                self._send_json(
-                    403,
-                    {
-                        "error": str(error),
-                        "defense": error.defense,
-                        "flagged": list(error.flagged_indices),
-                    },
-                    endpoint,
-                )
-            except (TypeError, ValueError) as error:
-                sp.set(status=400)
-                self._send_error_json(400, str(error), endpoint)
-            except Exception as error:  # pragma: no cover - defensive 500
-                sp.set(status=500)
-                self._send_error_json(500, f"{type(error).__name__}: {error}", endpoint)
-            else:
-                sp.set(
-                    status=200,
-                    served_ref=document.get("ref"),
-                    batch=len(document.get("labels", ())),
-                )
-                # Responses mirror the request's negotiated encoding.
-                self._send_body(
-                    200, encode_body(document, content_type), content_type, endpoint
-                )
-
-
-class _ServingHTTPServer(ThreadingHTTPServer):
-    """Stdlib server with a serving-grade accept backlog.
-
-    socketserver's default ``request_queue_size`` of 5 resets fresh
-    connections when many clients connect in a burst; match the asyncio
-    tier's listen backlog instead.
-    """
-
-    request_queue_size = 128
-    daemon_threads = True
-
-
-def create_server(
-    store: Union[ModelStore, str, None],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    routes: Optional[Mapping[str, str]] = None,
-    batching: bool = True,
-    max_batch: int = 64,
-    max_wait_ms: float = 5.0,
-    max_loaded: int = 8,
-    watch_interval_s: float = 0.0,
-    stats_window: int = 1024,
-) -> ThreadingHTTPServer:
-    """Build the serving HTTP server (not yet serving; call ``serve_forever``).
-
-    ``store`` may be a :class:`ModelStore` or a store root path; ``port=0``
-    binds any free port (read it back from ``server.server_address``).  The
-    :class:`ServingApp` is exposed as ``server.app``.
-    """
-    if not isinstance(store, ModelStore):
-        store = ModelStore(store)
-    app = ServingApp(
-        store,
-        routes=routes,
-        max_loaded=max_loaded,
-        batching=batching,
-        max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
-        watch_interval_s=watch_interval_s,
-        stats_window=stats_window,
-    )
-    server = _ServingHTTPServer((host, port), partial(_Handler, app))
-    server.app = app  # type: ignore[attr-defined]
-    return server
-
-
-def serve(
-    store: Union[ModelStore, str, None],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **kwargs,
-) -> None:
-    """Blocking entry point behind ``repro serve`` (Ctrl-C to stop)."""
-    server = create_server(store, host=host, port=port, **kwargs)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"repro serve: listening on http://{bound_host}:{bound_port}")
-    print(f"  store: {server.app.gateway.store.root}")  # type: ignore[attr-defined]
-    models = server.app.gateway.store.list_models()  # type: ignore[attr-defined]
-    print(f"  models: {', '.join(models) if models else '<none published>'}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.app.close()  # type: ignore[attr-defined]
-        server.server_close()
+    async def aclose(self) -> None:
+        """Drain in-flight shadow tasks, then tear down the sync stack."""
+        await self.shadow_quiesce()
+        self.close()
 
 
 #: Failures that mean "the server closed our idle keep-alive connection" —
@@ -559,7 +478,7 @@ _RETRYABLE = (
 
 
 class ServiceClient:
-    """Thin client for a ``repro serve`` endpoint (stdlib or aio).
+    """Thin client for a ``repro serve`` endpoint.
 
     :meth:`localize` mirrors :meth:`LocalizationService.localize`: it returns
     a :class:`~repro.api.LocalizationResult` built from the response arrays.
@@ -578,11 +497,11 @@ class ServiceClient:
         self,
         base_url: str,
         timeout: float = 30.0,
-        content_type: str = CONTENT_JSON,
+        content_type: str = protocol.CONTENT_JSON,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.content_type = normalize_content_type(content_type)
+        self.content_type = protocol.normalize_content_type(content_type)
         split = urllib.parse.urlsplit(self.base_url)
         if split.scheme not in ("http", ""):
             raise ValueError(f"ServiceClient speaks plain http, got '{split.scheme}'")
@@ -620,7 +539,7 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         method = "GET" if payload is None else "POST"
         encoding = content_type or self.content_type
-        body = encode_body(payload, encoding) if payload is not None else None
+        body = protocol.encode_body(payload, encoding) if payload is not None else None
         headers = {"Content-Type": encoding} if body is not None else {}
         for attempt in (0, 1):
             reused = self._connection is not None
@@ -643,18 +562,18 @@ class ServiceClient:
                 connection.close()
                 raise
             self._connection = connection  # keep alive for the next request
-            response_type = normalize_content_type(
+            response_type = protocol.normalize_content_type(
                 response.getheader("Content-Type")
             )
             if response.status != 200:
                 try:
-                    message = decode_body(raw, response_type).get("error", "")
+                    message = protocol.decode_body(raw, response_type).get("error", "")
                 except Exception:
                     message = raw.decode("utf-8", "replace")
                 raise RuntimeError(
                     f"{method} {path} failed with {response.status}: {message}"
                 )
-            return decode_body(raw, response_type)
+            return protocol.decode_body(raw, response_type)
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- endpoints ------------------------------------------------------

@@ -1,17 +1,16 @@
 """Serving-layer observability: Prometheus exposition, connection lifecycle
-metrics and pre-resolution request counting on both HTTP front ends."""
+metrics and pre-resolution request counting on the HTTP front end."""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.api import LocalizationService
-from repro.serve import ModelStore, ServiceClient, create_server
+from repro.serve import ModelStore, ServiceClient
 from repro.serve.aio.server import AioServerThread
 
 
@@ -25,27 +24,18 @@ def published_store(tiny_campaign, tmp_path) -> ModelStore:
 
 @pytest.fixture()
 def running_server(published_store):
-    server = create_server(
+    with AioServerThread(
         published_store,
-        port=0,
         routes={"building-1/knn": "knn@prod"},
         max_batch=8,
         max_wait_ms=2.0,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    ) as server:
         yield server
-    finally:
-        server.shutdown()
-        server.app.close()
-        server.server_close()
 
 
 @pytest.fixture()
 def base_url(running_server) -> str:
-    host, port = running_server.server_address[:2]
-    return f"http://{host}:{port}"
+    return running_server.base_url
 
 
 def _get(url: str):
@@ -68,6 +58,8 @@ def _post_localize(url: str, payload: dict) -> int:
 
 class TestPrometheusExposition:
     def test_stdlib_prometheus_content_negotiation(self, base_url, tiny_campaign):
+        """A plain stdlib ``urllib`` client (one connection per request) gets
+        the exposition on ``?format=prometheus`` and JSON otherwise."""
         features = tiny_campaign.test_for("S7").features[:2].tolist()
         assert _post_localize(base_url, {"model": "knn", "fingerprints": features}) == 200
 
@@ -76,7 +68,7 @@ class TestPrometheusExposition:
         assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
         text = body.decode()
         assert "# TYPE repro_http_requests_total counter" in text
-        assert 'repro_http_requests_total{transport="stdlib",endpoint="knn"} 1' in text
+        assert 'repro_http_requests_total{transport="aio",endpoint="knn"} 1' in text
         # Gateway endpoint stats share the app registry and appear alongside.
         assert "repro_endpoint_requests_total" in text
 
@@ -86,22 +78,20 @@ class TestPrometheusExposition:
         document = json.loads(body)
         assert "gateway" in document and "server" in document
 
-    def test_aio_prometheus_content_negotiation(self, published_store, tiny_campaign):
-        with AioServerThread(
-            published_store, routes={"building-1/knn": "knn@prod"}
-        ) as server:
-            with ServiceClient(server.base_url) as client:
-                client.localize(
-                    tiny_campaign.test_for("S7").features[:2], model="knn"
-                )
-            status, headers, body = _get(
-                f"{server.base_url}/metrics?format=prometheus"
-            )
-            assert status == 200
-            assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
-            text = body.decode()
-            assert "# TYPE repro_http_requests_total counter" in text
-            assert 'transport="aio"' in text
+    def test_aio_prometheus_content_negotiation(self, base_url, tiny_campaign):
+        """Requests on one persistent ``ServiceClient`` connection are each
+        counted once in the exposition."""
+        features = tiny_campaign.test_for("S7").features[:2]
+        with ServiceClient(base_url) as client:
+            for _ in range(3):
+                client.localize(features, model="knn")
+
+        status, headers, body = _get(f"{base_url}/metrics?format=prometheus")
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
+        text = body.decode()
+        assert "# TYPE repro_http_requests_total counter" in text
+        assert 'repro_http_requests_total{transport="aio",endpoint="knn"} 3' in text
 
     def test_prometheus_document_parses_cleanly(self, base_url):
         _get(f"{base_url}/healthz")
@@ -131,10 +121,22 @@ class TestRequestAccounting:
         assert status == 404
         document = running_server.app.metrics_document()
         server_doc = document["server"]
-        assert server_doc["requests"]["stdlib"]["no-such-model"] == 1
-        assert server_doc["responses"]["stdlib"]["no-such-model"]["404"] == 1
+        assert server_doc["requests"]["aio"]["no-such-model"] == 1
+        assert server_doc["responses"]["aio"]["no-such-model"]["404"] == 1
         # The gateway's per-endpoint stats stay orphan-free.
         assert "no-such-model" not in document["gateway"]["endpoints"]
+
+    def test_aio_unknown_model_counted_before_resolution(self, running_server):
+        """On a persistent connection the 404 for an unknown model is counted
+        against the requested name, and the connection keeps serving."""
+        with ServiceClient(running_server.base_url) as client:
+            with pytest.raises(RuntimeError, match="failed with 404"):
+                client.localize([[0.0]], model="ghost")
+            client.models()  # same connection, after the 404
+        server_doc = running_server.app.server_document()
+        assert server_doc["requests"]["aio"]["ghost"] == 1
+        assert server_doc["responses"]["aio"]["ghost"]["404"] == 1
+        assert server_doc["connections"]["aio"]["keepalive_reuses"] >= 1
 
     def test_undecodable_body_counted_against_path(self, base_url, running_server):
         """A body that cannot be decoded has no requested endpoint yet — the
@@ -147,48 +149,31 @@ class TestRequestAccounting:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         server_doc = running_server.app.server_document()
-        assert server_doc["responses"]["stdlib"]["/v1/localize"]["400"] == 1
+        assert server_doc["responses"]["aio"]["/v1/localize"]["400"] == 1
 
     def test_payload_without_model_counted_as_invalid(self, base_url, running_server):
         status = _post_localize(base_url, {"fingerprints": [[0.0]]})
         assert status in (400, 404)
         server_doc = running_server.app.server_document()
-        assert server_doc["requests"]["stdlib"]["_invalid"] == 1
-
-    def test_aio_unknown_model_counted_before_resolution(
-        self, published_store
-    ):
-        with AioServerThread(
-            published_store, routes={"building-1/knn": "knn@prod"}
-        ) as server:
-            status = _post_localize(
-                server.base_url, {"model": "ghost", "fingerprints": [[0.0]]}
-            )
-            assert status == 404
-            server_doc = server.app.app.server_document()
-            assert server_doc["requests"]["aio"]["ghost"] == 1
-            assert server_doc["responses"]["aio"]["ghost"]["404"] == 1
+        assert server_doc["requests"]["aio"]["_invalid"] == 1
 
 
 class TestConnectionLifecycle:
-    def test_stdlib_connections_accepted_and_closed(self, base_url, running_server):
+    def test_connections_accepted_and_closed(self, base_url, running_server):
         for _ in range(3):
             _get(f"{base_url}/healthz")
-        connections = running_server.app.server_document()["connections"]["stdlib"]
+        connections = running_server.app.server_document()["connections"]["aio"]
         assert connections["accepted"] >= 3
         assert connections["closed"] + connections["active"] == connections["accepted"]
 
-    def test_aio_keepalive_reuse_is_counted(self, published_store, tiny_campaign):
+    def test_aio_keepalive_reuse_is_counted(self, running_server, tiny_campaign):
         features = tiny_campaign.test_for("S7").features[:1]
-        with AioServerThread(
-            published_store, routes={"building-1/knn": "knn@prod"}
-        ) as server:
-            with ServiceClient(server.base_url) as client:
-                for _ in range(4):  # one persistent connection, four requests
-                    client.localize(features, model="knn")
-            connections = server.app.app.server_document()["connections"]["aio"]
-            assert connections["accepted"] >= 1
-            assert connections["keepalive_reuses"] >= 3
+        with ServiceClient(running_server.base_url) as client:
+            for _ in range(4):  # one persistent connection, four requests
+                client.localize(features, model="knn")
+        connections = running_server.app.server_document()["connections"]["aio"]
+        assert connections["accepted"] >= 1
+        assert connections["keepalive_reuses"] >= 3
 
     def test_isolated_apps_do_not_share_counters(self, published_store):
         """Two ServingApps in one process must not see each other's traffic."""
@@ -196,7 +181,7 @@ class TestConnectionLifecycle:
 
         first = ServingApp(published_store)
         second = ServingApp(published_store)
-        first.record_http_request("stdlib", "knn")
+        first.record_http_request("knn")
         assert second.server_document()["requests"] == {}
         first.close()
         second.close()

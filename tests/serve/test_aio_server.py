@@ -40,6 +40,21 @@ def client(aio_server) -> ServiceClient:
         yield client
 
 
+def _exchange_until_close(port: int, request: bytes) -> bytes:
+    """Send raw request bytes; return everything read until the server closes."""
+    blob = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed with our bytes still unread
+                return blob
+            if not chunk:
+                return blob
+            blob += chunk
+
+
 class TestBitIdentity:
     def test_json_bodies_match_direct_service(self, client, published_store, tiny_campaign):
         test = tiny_campaign.test_for("S7")
@@ -93,15 +108,8 @@ class TestKeepAliveAndPipelining:
             f"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
             f"GET /v1/models HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
         ).encode()
-        with socket.create_connection(("127.0.0.1", aio_server.port), timeout=10) as sock:
-            sock.sendall(request)  # both requests in one write, no read between
-            blob = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                blob += chunk
-        text = blob.decode()
+        # Both requests in one write, no read between.
+        text = _exchange_until_close(aio_server.port, request).decode()
         assert text.count("HTTP/1.1 200") == 2
         first, second = text.split("HTTP/1.1 200")[1:]
         assert '"status": "ok"' in first
@@ -177,6 +185,35 @@ class TestErrorMapping:
             sock.sendall(request)
             blob = sock.recv(65536)
         assert b"431" in blob.split(b"\r\n", 1)[0]
+        # The request line never parsed, so the rejection has no path label.
+        server_doc = aio_server.app.server_document()
+        assert server_doc["responses"]["aio"]["_malformed"]["431"] == 1
+
+    def test_oversized_body_is_413_and_counted_against_path(self, aio_server):
+        blob = _exchange_until_close(
+            aio_server.port,
+            b"POST /v1/localize HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 999999999999\r\n\r\n",
+        )
+        assert blob.startswith(b"HTTP/1.1 413 ")
+        server_doc = aio_server.app.server_document()
+        assert server_doc["requests"]["aio"]["/v1/localize"] == 1
+        assert server_doc["responses"]["aio"]["/v1/localize"]["413"] == 1
+
+    def test_chunked_request_gets_one_411_and_closes(self, aio_server):
+        body = json.dumps({"model": "knn", "fingerprints": [[0.0] * 8]}).encode()
+        blob = _exchange_until_close(
+            aio_server.port,
+            b"POST /v1/localize HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n",
+        )
+        # Exactly one response: the chunk bytes are never parsed as a request.
+        assert blob.count(b"HTTP/1.1 ") == 1
+        assert blob.startswith(b"HTTP/1.1 411 ")
+        assert b"Connection: close" in blob
+        server_doc = aio_server.app.server_document()
+        assert server_doc["responses"]["aio"]["/v1/localize"] == {"411": 1}
 
 
 class TestIntrospection:
@@ -252,7 +289,9 @@ class _OneShotCloseServer:
     )
 
     def __init__(self) -> None:
-        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen()
         self.port = self._listener.getsockname()[1]
         self.requests_served = 0
         self._thread = threading.Thread(target=self._serve, daemon=True)

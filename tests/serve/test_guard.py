@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -13,7 +12,8 @@ import pytest
 from repro.api import LocalizationService
 from repro.attacks import FGSMAttack, ThreatModel
 from repro.defenses import DefenseSpec, FingerprintDetectorDefense, GuardRejectedError
-from repro.serve import Gateway, ModelStore, ServiceClient, create_server
+from repro.serve import Gateway, ModelStore, ServiceClient
+from repro.serve.aio.server import AioServerThread
 
 
 def _guarded_service(tiny_campaign, action: str) -> LocalizationService:
@@ -149,20 +149,12 @@ class TestHTTPGuard:
         store = ModelStore(tmp_path / "store")
         store.publish(_guarded_service(tiny_campaign, "monitor"), "knn", tags=("prod",))
         store.publish(_guarded_service(tiny_campaign, "reject"), "knn-strict", tags=("prod",))
-        server = create_server(store, port=0, max_batch=8, max_wait_ms=2.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with AioServerThread(store, max_batch=8, max_wait_ms=2.0) as server:
             yield server
-        finally:
-            server.shutdown()
-            server.app.close()
-            server.server_close()
 
     def _post(self, server, payload):
-        host, port = server.server_address[:2]
         request = urllib.request.Request(
-            f"http://{host}:{port}/v1/localize",
+            f"{server.base_url}/v1/localize",
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -194,10 +186,9 @@ class TestHTTPGuard:
         assert len(document["flagged"]) >= 1
 
     def test_metrics_surface_guard_counters(self, guarded_server, adversarial_batch):
-        host, port = guarded_server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}")
-        client.localize(adversarial_batch, model="knn")
-        metrics = client.metrics()
+        with ServiceClient(guarded_server.base_url) as client:
+            client.localize(adversarial_batch, model="knn")
+            metrics = client.metrics()
         guard = metrics["gateway"]["endpoints"]["knn"]["guard"]
         assert guard["flagged"] >= 1 and guard["rejected"] == 0
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -11,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.api import LocalizationService
-from repro.serve import ModelStore, ServiceClient, create_server
+from repro.serve import ModelStore, ServiceClient
+from repro.serve.aio.server import AioServerThread
 
 
 @pytest.fixture()
@@ -24,27 +24,19 @@ def published_store(tiny_campaign, tmp_path) -> ModelStore:
 
 @pytest.fixture()
 def running_server(published_store):
-    server = create_server(
+    with AioServerThread(
         published_store,
-        port=0,
         routes={"building-1/knn": "knn@prod"},
         max_batch=8,
         max_wait_ms=2.0,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    ) as server:
         yield server
-    finally:
-        server.shutdown()
-        server.app.close()
-        server.server_close()
 
 
 @pytest.fixture()
 def client(running_server) -> ServiceClient:
-    host, port = running_server.server_address[:2]
-    return ServiceClient(f"http://{host}:{port}")
+    with ServiceClient(running_server.base_url) as client:
+        yield client
 
 
 class TestLocalizeEndpoint:
@@ -182,18 +174,10 @@ class TestKeepAlive:
 
 class TestUnbatchedMode:
     def test_direct_mode_is_also_bit_identical(self, published_store, tiny_campaign):
-        server = create_server(published_store, port=0, batching=False)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
-            client = ServiceClient(f"http://{host}:{port}")
-            test = tiny_campaign.test_for("BLU")
-            direct = published_store.resolve("knn").localize(test.features)
-            via_http = client.localize(test.features, model="knn")
-            np.testing.assert_array_equal(via_http.labels, direct.labels)
-            assert client.health()["batching"] is False
-        finally:
-            server.shutdown()
-            server.app.close()
-            server.server_close()
+        with AioServerThread(published_store, batching=False) as server:
+            with ServiceClient(server.base_url) as client:
+                test = tiny_campaign.test_for("BLU")
+                direct = published_store.resolve("knn").localize(test.features)
+                via_http = client.localize(test.features, model="knn")
+                np.testing.assert_array_equal(via_http.labels, direct.labels)
+                assert client.health()["batching"] is False

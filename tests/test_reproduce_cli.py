@@ -219,6 +219,33 @@ class TestServeParser:
         )
         assert args.route == ["b1/knn=knn@prod", "b2/knn=knn@v2"]
 
+    def test_aio_flag_still_parses_but_is_hidden(self, capsys):
+        assert build_parser().parse_args(["serve", "--aio"]).aio is True
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "--aio" not in capsys.readouterr().out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("extra", [[], ["--aio"]], ids=["plain", "aio-flag"])
+    def test_serve_runs_aio_front_end_with_shadow_route(
+        self, monkeypatch, tmp_path, extra
+    ):
+        from repro.serve.aio import server as aio_server
+        from repro.serve.aio.routing import RouteSpec
+
+        calls = []
+        monkeypatch.setattr(
+            aio_server, "serve_aio", lambda store, **kwargs: calls.append(kwargs)
+        )
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")  # no event sink in the cache
+        route = "ep=knn@prod,shadow=knn@v1,fraction=0.5"
+        assert main(["serve", "--store", str(tmp_path), "--route", route, *extra]) == 0
+        assert len(calls) == 1
+        spec = calls[0]["routes"]["ep"]
+        assert isinstance(spec, RouteSpec)
+        assert (spec.ref, spec.shadow, spec.fraction) == ("knn@prod", "knn@v1", 0.5)
+
 
 class TestRunSubcommand:
     SPEC = {
