@@ -3,11 +3,11 @@
 
 Measures forward/backward throughput (elements per second) for the hot
 numeric primitives the evaluation grid spends its time in — dense and
-convolutional layers, the classification losses, the gradient attacks and
-the graph-free CALLOC kernels — and cross-checks the vectorized
-implementations against straightforward per-position / per-row reference
-loops, and the CALLOC kernels against the autograd graph, for **bitwise**
-agreement.
+convolutional layers, the classification losses, the gradient attacks, the
+graph-free CALLOC kernels and SANGRIA's boosted trees — and cross-checks the
+vectorized implementations against straightforward per-position / per-row
+reference loops, the CALLOC kernels against the autograd graph, and the
+stacked tree walk against per-tree accumulation, for **bitwise** agreement.
 
 The identity checks are the point: every kernel here used to be a Python
 loop, and the vectorized replacements are only allowed to ship because they
@@ -45,6 +45,7 @@ from repro.attacks.base import GradientProvider, ThreatModel  # noqa: E402
 from repro.attacks.fgsm import FGSMAttack  # noqa: E402
 from repro.attacks.mim import MIMAttack  # noqa: E402
 from repro.attacks.pgd import PGDAttack  # noqa: E402
+from repro.baselines.gbdt import GradientBoostedClassifier  # noqa: E402
 from repro.core import CALLOCModel, kernels  # noqa: E402
 from repro.nn.fastpath import ce_target_matrix  # noqa: E402
 from repro.nn.layers import Conv1d, Linear, MaxPool1d, ReLU  # noqa: E402
@@ -59,6 +60,15 @@ BATCH = 256
 #: stacked ε × ø attack-grid gradient on the quick profile.
 CALLOC_TRAIN_ROWS = 32
 CALLOC_GRID_ROWS = 198
+#: SANGRIA's boosted-tree head on the quick profile: 110 training rows of a
+#: 64-wide encoding, 22 classes, 10 rounds of 16-feature trees (220 trees),
+#: and one 132-row batch to score.
+GBDT_ROWS = 110
+GBDT_FEATURES = 64
+GBDT_CLASSES = 22
+GBDT_ROUNDS = 10
+GBDT_MAX_FEATURES = 16
+GBDT_PREDICT_ROWS = 132
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +117,19 @@ def _calloc_model(rng: np.random.Generator) -> CALLOCModel:
     for param in model.parameters():
         param.data = param.data + rng.normal(0.0, 0.05, size=param.data.shape)
     return model
+
+
+def _gbdt_data(rng: np.random.Generator):
+    features = rng.random((GBDT_ROWS, GBDT_FEATURES))
+    labels = np.arange(GBDT_ROWS) % GBDT_CLASSES
+    return features, labels
+
+
+def _gbdt_fit(features: np.ndarray, labels: np.ndarray) -> GradientBoostedClassifier:
+    model = GradientBoostedClassifier(
+        num_rounds=GBDT_ROUNDS, max_features=GBDT_MAX_FEATURES, seed=0
+    )
+    return model.fit(features, labels)
 
 
 def _calloc_autograd_step(model: CALLOCModel, features, labels) -> float:
@@ -239,6 +262,16 @@ def run_identity_checks(rng: np.random.Generator) -> Dict[str, bool]:
     checks["calloc_logits"] = _bitwise_equal(
         kernels.logits(graph, features), graph(Tensor(features)).data
     )
+
+    # Boosted trees: one walk of the stacked node table == each tree's own
+    # predict, accumulated round by round and class by class.
+    model = _gbdt_fit(*_gbdt_data(rng))
+    features = rng.random((GBDT_PREDICT_ROWS, GBDT_FEATURES))
+    logits = np.tile(model._prior, (GBDT_PREDICT_ROWS, 1))
+    for round_trees in model._trees:
+        for class_index, tree in enumerate(round_trees):
+            logits[:, class_index] += model.learning_rate * tree.predict(features)
+    checks["gbdt_stacked_walk"] = _bitwise_equal(model.decision_function(features), logits)
     return checks
 
 
@@ -349,6 +382,16 @@ def run_throughput(rng: np.random.Generator) -> Dict[str, Dict[str, float]]:
     )
     ops["calloc_predict"] = _throughput(
         lambda: kernels.logits(model, features), BATCH * NUM_APS
+    )
+
+    gbdt_features, gbdt_labels = _gbdt_data(rng)
+    ops["gbdt_fit"] = _throughput(
+        lambda: _gbdt_fit(gbdt_features, gbdt_labels), GBDT_ROWS * GBDT_FEATURES
+    )
+    booster = _gbdt_fit(gbdt_features, gbdt_labels)
+    batch = rng.random((GBDT_PREDICT_ROWS, GBDT_FEATURES))
+    ops["gbdt_predict"] = _throughput(
+        lambda: booster.predict_proba(batch), GBDT_PREDICT_ROWS * GBDT_FEATURES
     )
     return ops
 

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from ..eval.engine import ArtifactCache, execute_unit
 from ..obs import events, trace
 from ..obs.metrics import REGISTRY
+from ..spawn import one_thread_blas
 from .ledger import (
     LEASE_BREAK_GRACE_S,
     STATE_DONE,
@@ -410,7 +411,8 @@ def work(
     With ``workers == 1`` the loop runs in-process (simplest to debug and to
     monkeypatch ``execute`` in tests).  With more, worker *processes* are
     spawned — each opens the ledger itself, so this is the same code path as
-    N independent hosts pointing at a shared cache directory.
+    N independent hosts pointing at a shared cache directory.  Each starts
+    with a one-thread BLAS pool (:func:`repro.spawn.one_thread_blas`).
     """
     options = options or WorkerOptions()
     if workers <= 1:
@@ -433,8 +435,9 @@ def work(
         )
         for index in range(workers)
     ]
-    for proc in procs:
-        proc.start()
+    with one_thread_blas():
+        for proc in procs:
+            proc.start()
     for proc in procs:
         proc.join()
     ledger = RunLedger.open(cache, run_id)

@@ -175,15 +175,18 @@ class AioServer:
         except asyncio.CancelledError:
             cancelled = True
         finally:
-            conn.connection_closed()
-            if cancelled:
-                drain.cancel()
-            else:
-                try:
-                    await queue.put(None)
-                    await drain
-                except asyncio.CancelledError:
+            try:
+                if cancelled:
                     drain.cancel()
+                else:
+                    try:
+                        await queue.put(None)
+                        await drain
+                    except asyncio.CancelledError:
+                        drain.cancel()
+            finally:
+                # Open until its last queued response has been written.
+                conn.connection_closed()
             writer.close()
             try:
                 await writer.wait_closed()

@@ -20,7 +20,9 @@ every worker.
 
 Workers are started via the multiprocessing ``spawn`` context: serving
 processes must not inherit the parent's thread/lock state through ``fork``
-(the gateway and batchers carry live threads and mutexes).
+(the gateway and batchers carry live threads and mutexes).  Each starts with
+a one-thread BLAS pool (:func:`repro.spawn.one_thread_blas`), so N workers
+do not each spin a thread on every core.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import socket
 import time
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ...spawn import one_thread_blas
 from .routing import RouteSpec
 
 __all__ = ["ServeSupervisor", "serve_workers"]
@@ -127,7 +130,8 @@ class ServeSupervisor:
             name=f"repro-serve-worker-{index}",
             daemon=True,
         )
-        process.start()
+        with one_thread_blas():
+            process.start()
         self._processes[index] = process
 
     def start(self) -> "ServeSupervisor":

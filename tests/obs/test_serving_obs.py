@@ -53,6 +53,7 @@ def _post_localize(url: str, payload: dict) -> int:
         with urllib.request.urlopen(request, timeout=10) as response:
             return response.status
     except urllib.error.HTTPError as error:
+        error.close()
         return error.code
 
 
@@ -147,6 +148,7 @@ class TestRequestAccounting:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
         server_doc = running_server.app.server_document()
         assert server_doc["responses"]["aio"]["/v1/localize"]["400"] == 1

@@ -175,6 +175,7 @@ class TestErrorMapping:
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{aio_server.base_url}/v2/teleport", timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_oversized_header_is_431(self, aio_server):
@@ -232,6 +233,18 @@ class TestIntrospection:
         assert endpoint["fingerprints"] == features.shape[0]
         assert metrics["gateway"]["loaded"] == ["knn@v1"]
         assert metrics["shadow"] == {}
+
+    def test_connection_is_active_until_its_response_is_written(self, aio_server):
+        baseline = aio_server.app.server_document()["connections"]["aio"]["active"]
+        blob = _exchange_until_close(
+            aio_server.port,
+            b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        )
+        head, _, body = blob.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        # The closing connection is still open while its own answer is built.
+        assert json.loads(body)["server"]["connections"]["aio"]["active"] >= baseline + 1
+        assert aio_server.app.server_document()["connections"]["aio"]["active"] == baseline
 
 
 class TestShadowRouting:

@@ -180,8 +180,9 @@ class TestHTTPGuard:
                 guarded_server,
                 {"model": "knn-strict", "fingerprints": adversarial_batch.tolist()},
             )
+        with excinfo.value as error:
+            document = json.loads(error.read().decode("utf-8"))
         assert excinfo.value.code == 403
-        document = json.loads(excinfo.value.read().decode("utf-8"))
         assert document["defense"] == "detector"
         assert len(document["flagged"]) >= 1
 
@@ -212,6 +213,7 @@ class TestHTTPGuard:
                 guarded_server,
                 {"model": "knn-strict", "fingerprints": adversarial_batch.tolist()},
             )
+        excinfo.value.close()
         assert excinfo.value.code == 403
         stats = guarded_server.app.gateway.stats()["endpoints"]["knn-strict"]
         # Exactly once each — the failed batch probe must not pre-count them.

@@ -103,6 +103,7 @@ class TestLocalizeEndpoint:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_missing_fields_are_400(self, client):
@@ -115,11 +116,13 @@ class TestLocalizeEndpoint:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
+            excinfo.value.close()
             assert excinfo.value.code == 400
 
     def test_unknown_path_is_404(self, client):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{client.base_url}/v2/teleport", timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
 

@@ -128,7 +128,8 @@ class TestPromoteUnderLoad:
             finally:
                 stop.set()
                 worker.join(timeout=60.0)
-            metrics = ServiceClient(server.base_url).metrics()
+            with ServiceClient(server.base_url) as client:
+                metrics = client.metrics()
 
         assert not errors, f"requests failed across the promote: {errors!r}"
         refs = [ref for ref, _ in observations]
