@@ -69,13 +69,7 @@ PROFILES: Dict[str, Callable[[], EvaluationConfig]] = {
 # Profile-tuned model defaults
 # ----------------------------------------------------------------------
 def default_model_params(name: str, config: EvaluationConfig) -> Dict[str, Any]:
-    """Profile-tuned constructor defaults for a registered localizer.
-
-    This is the single source of the per-profile tuning every entry point
-    shares: the legacy ``calloc_factory``/``baseline_factories`` helpers, the
-    declarative :class:`ExperimentSpec` path and the CLI all build models
-    through it, which is what keeps their numbers identical.
-    """
+    """Profile-tuned constructor defaults for a registered localizer."""
     epochs = config.baseline_epochs
     seed = config.model_seed
     defaults: Dict[str, Dict[str, Any]] = {

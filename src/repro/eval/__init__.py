@@ -18,8 +18,6 @@ from .figures import (
     DEFAULT_ROBUSTNESS_MODELS,
     DEFAULT_SOTA_BASELINES,
     ablation_adaptive,
-    baseline_factories,
-    calloc_factory,
     fig1_attack_impact,
     fig4_heatmaps,
     fig5_curriculum,
@@ -66,6 +64,4 @@ __all__ = [
     "fig6_sota",
     "fig7_phi_sweep",
     "ablation_adaptive",
-    "calloc_factory",
-    "baseline_factories",
 ]

@@ -23,10 +23,13 @@ flat DAG of *work units*:
     the campaign and train their own model under a scenario-specific
     cache key.
 
-:class:`ExecutionEngine` runs a plan in-process, unit by unit in dependency
-order.  The same units are the work items of the campaign queue
-(:mod:`repro.queue`), which :func:`execute_unit` serves one at a time; a
-``jobs>1`` run is N queue workers draining a throwaway run ledger.  Two
+One executor, :func:`execute_unit`, runs every unit, and two schedulers
+call it: :class:`ExecutionEngine` walks a plan in-process in
+:meth:`ExecutionPlan.all_units` order, and the workers of the campaign queue
+(:mod:`repro.queue`) claim units from a run ledger; a ``jobs>1`` run is N
+queue workers draining a throwaway ledger.  Each engine run and each queue
+worker owns one :class:`UnitMemo`, which keeps the campaigns, trained models
+and surrogates its units share in memory for that run or worker only.  Two
 properties make every way of running a plan agree:
 
 * **Deterministic per-unit seeding** — every unit derives all of its
@@ -72,7 +75,6 @@ import inspect
 import json
 import os
 import pickle
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -90,7 +92,7 @@ from typing import (
 import numpy as np
 
 from ..atomic import write_atomic
-from ..attacks.base import GradientProvider, ThreatModel
+from ..attacks.base import Attack, GradientProvider, ThreatModel
 from ..attacks.batched import craft_grid
 from ..attacks.mitm import SignalSpoofingAttack, attack_dataset, replay_survey
 from ..attacks.surrogate import SurrogateGradientModel
@@ -132,6 +134,7 @@ __all__ = [
     "unit_digest",
     "unit_id",
     "unit_title",
+    "UnitMemo",
     "execute_unit",
     "plan_records",
     "ExecutionEngine",
@@ -147,12 +150,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override).expanduser()
     return Path("~/.cache/repro").expanduser()
-
-
-# ``write_atomic`` now lives in :mod:`repro.atomic` (dependency-free, so the
-# data/reporting layers can use it without importing the engine); it stays
-# re-exported here because the cache, the queue ledger and external callers
-# historically imported it from this module.
 
 
 # ----------------------------------------------------------------------
@@ -770,25 +767,111 @@ def _fit_surrogate(
     return surrogate
 
 
+class UnitMemo:
+    """The campaigns, trained models and surrogates the units of one run share.
+
+    Every entry is keyed by its artefact digest: campaigns by campaign
+    digest, models by model digest (registry name, explicit params, training
+    defense, campaign) and surrogates by model digest plus surrogate seed.
+    Two labels that build the same model therefore share one fit, and a memo
+    that serves two runs never hands one run's model to the other.
+
+    :meth:`ExecutionEngine.run` creates one per call and every queue worker
+    one for its lifetime; both pass it to each :func:`execute_unit` call, so
+    nothing memoised outlives the run or worker that built it.  A memoised
+    model carries live training state, so one memo serves one thread.
+    """
+
+    def __init__(self) -> None:
+        self.campaigns: Dict[str, LocalizationCampaign] = {}
+        self.models: Dict[str, Tuple[Localizer, str]] = {}
+        self.surrogates: Dict[str, SurrogateGradientModel] = {}
+
+    def campaign(
+        self, building: str, config: EvaluationConfig, cache: Optional[ArtifactCache]
+    ) -> Tuple[LocalizationCampaign, str]:
+        """One building's campaign and its digest, built once per memo."""
+        digest = cache_key("campaign", _campaign_payload(building, config))
+        campaign = self.campaigns.get(digest)
+        if campaign is None:
+            campaign, _ = simulate_campaign(building, config, cache)
+            self.campaigns[digest] = campaign
+        return campaign, digest
+
+    def localizer(
+        self,
+        task: ModelTask,
+        campaign: LocalizationCampaign,
+        campaign_digest: str,
+        cache: Optional[ArtifactCache],
+    ) -> Tuple[Localizer, str]:
+        """One task's trained model and its digest, trained or loaded once."""
+        digest = cache_key("model", _model_payload(task, campaign_digest))
+        hit = self.models.get(digest)
+        if hit is None:
+            hit = train_localizer(task, campaign, campaign_digest, cache)
+            self.models[digest] = hit
+        return hit
+
+    def victim(
+        self,
+        model: Localizer,
+        model_digest: str,
+        campaign: LocalizationCampaign,
+        config: EvaluationConfig,
+        force_surrogate: bool = False,
+    ) -> GradientProvider:
+        """Gradient access to ``model``: native white-box, or a memoised surrogate.
+
+        ``force_surrogate`` models the black-box attacker that must transfer
+        perturbations through a surrogate even against differentiable victims.
+        """
+        if not force_surrogate and hasattr(model, "loss_gradient"):
+            return model  # type: ignore[return-value]
+        key = f"{model_digest}:{config.model_seed}"
+        surrogate = self.surrogates.get(key)
+        if surrogate is None:
+            surrogate = _fit_surrogate(model, campaign, config)
+            self.surrogates[key] = surrogate
+        return surrogate
+
+
+def _build_attack(scenario: AttackScenario, campaign: LocalizationCampaign) -> Attack:
+    """The attack of one operating point, as the engine crafts it.
+
+    The spoofer's counterfeit baseline is its own offline survey of the
+    building — a property of the campaign, never of the batch a unit happens
+    to score (which would make results depend on engine sharding).
+    """
+    attack = make_attack(
+        scenario.method,
+        ThreatModel(
+            epsilon=scenario.epsilon,
+            phi_percent=scenario.phi_percent,
+            seed=scenario.seed,
+        ),
+    )
+    if isinstance(attack, SignalSpoofingAttack) and attack.replay_features is None:
+        attack.replay_features = replay_survey(campaign.train)
+    return attack
+
+
 def evaluate_unit(
     unit: EvalUnit,
     model: Localizer,
     model_digest: str,
     campaign: LocalizationCampaign,
     config: EvaluationConfig,
-    cache: Optional[ArtifactCache] = None,
-    surrogates: Optional[Dict[str, SurrogateGradientModel]] = None,
+    cache: Optional[ArtifactCache],
+    memo: UnitMemo,
 ) -> List[ErrorStats]:
     """Score one (model, building, device) cell across its scenarios.
 
-    ``surrogates`` is an optional memo (keyed by model digest + surrogate
-    seed) letting the serial path reuse one surrogate across the eval units
-    of the same model, matching the legacy runner's behaviour; queue
-    workers pass their per-thread memo for the same effect.
+    A non-differentiable victim is attacked through its surrogate in
+    ``memo``: one fit serves every unit of the run or worker that attacks
+    the same model.
     """
     test = campaign.test_for(unit.device)
-    if surrogates is None:
-        surrogates = {}
     victim: Optional[GradientProvider] = None
 
     # Group the unit's attacked scenarios by crafting method and craft each
@@ -821,29 +904,8 @@ def evaluate_unit(
         arrays = cache.get_arrays("attacked", digest) if cache is not None else None
         if arrays is None:
             if victim is None:
-                victim = _resolve_victim(
-                    model, model_digest, campaign, config, surrogates
-                )
-            attacks = []
-            for scenario in group_scenarios:
-                attack = make_attack(
-                    scenario.method,
-                    ThreatModel(
-                        epsilon=scenario.epsilon,
-                        phi_percent=scenario.phi_percent,
-                        seed=scenario.seed,
-                    ),
-                )
-                if (
-                    isinstance(attack, SignalSpoofingAttack)
-                    and attack.replay_features is None
-                ):
-                    # The spoofer's counterfeit baseline is its own offline
-                    # survey of the building — a property of the campaign,
-                    # never of the batch this unit happens to score (which
-                    # would make results depend on engine sharding).
-                    attack.replay_features = replay_survey(campaign.train)
-                attacks.append(attack)
+                victim = memo.victim(model, model_digest, campaign, config)
+            attacks = [_build_attack(scenario, campaign) for scenario in group_scenarios]
             crafted = craft_grid(attacks, test.features, test.labels, victim)
             arrays = {
                 f"rss_dbm_{index}": denormalize_rss(adversarial)
@@ -861,29 +923,6 @@ def evaluate_unit(
     return results
 
 
-def _resolve_victim(
-    model: Localizer,
-    model_digest: str,
-    campaign: LocalizationCampaign,
-    config: EvaluationConfig,
-    surrogates: Optional[Dict[str, SurrogateGradientModel]],
-    force_surrogate: bool = False,
-) -> GradientProvider:
-    """Gradient access to ``model``: native white-box, or a memoised surrogate.
-
-    ``force_surrogate`` models the black-box attacker that must transfer
-    perturbations through a surrogate even against differentiable victims.
-    """
-    if not force_surrogate and hasattr(model, "loss_gradient"):
-        return model  # type: ignore[return-value]
-    if surrogates is None:
-        surrogates = {}
-    memo_key = f"{model_digest}:{config.model_seed}"
-    if memo_key not in surrogates:
-        surrogates[memo_key] = _fit_surrogate(model, campaign, config)
-    return surrogates[memo_key]
-
-
 def evaluate_scenario_unit(
     unit: ScenarioUnit,
     model: Optional[Localizer],
@@ -891,8 +930,8 @@ def evaluate_scenario_unit(
     campaign: LocalizationCampaign,
     campaign_digest: str,
     config: EvaluationConfig,
-    cache: Optional[ArtifactCache] = None,
-    surrogates: Optional[Dict[str, SurrogateGradientModel]] = None,
+    cache: Optional[ArtifactCache],
+    memo: UnitMemo,
 ) -> Tuple[ErrorStats, AttackScenario]:
     """Score one robustness-scenario cell; returns its stats and attack point.
 
@@ -951,68 +990,23 @@ def evaluate_scenario_unit(
             else test
         )
         if not attacked_point.is_clean:
-            victim = _resolve_victim(
+            victim = memo.victim(
                 model,
                 model_digest,
                 campaign,
                 config,
-                surrogates,
                 force_surrogate=scenario.force_surrogate,
             )
-            threat = ThreatModel(
-                epsilon=attacked_point.epsilon,
-                phi_percent=attacked_point.phi_percent,
-                seed=attacked_point.seed,
+            final = attack_dataset(
+                final, _build_attack(attacked_point, campaign), victim
             )
-            attack = make_attack(attacked_point.method, threat)
-            if (
-                isinstance(attack, SignalSpoofingAttack)
-                and attack.replay_features is None
-            ):
-                attack.replay_features = replay_survey(campaign.train)
-            final = attack_dataset(final, attack, victim)
         if use_cache:
             cache.put_arrays("scenario-batch", digest, {"rss_dbm": final.rss_dbm})
     return error_stats(model.evaluate(final)), attacked_point
 
 
 # ----------------------------------------------------------------------
-# Per-worker memos of the standalone unit execution below
-# ----------------------------------------------------------------------
-class _WorkerMemo(threading.local):
-    """Per-thread memos for fitted surrogates and trained models.
-
-    These memos are thread-local, not process-global: a memoised model holds
-    live autograd state (parameter ``grad`` buffers, training-mode flags),
-    so sharing one instance between concurrently executing queue workers in
-    a single process would race.  A spawned queue-worker process runs one
-    worker thread, so there thread-local and process-global are the same
-    thing.  Surrogates fitted for one (model, device) cell are reused by
-    every later cell of the same model that lands on the same worker (keys
-    embed the campaign digest via the model digest, so reuse can never
-    cross campaigns).
-    """
-
-    def __init__(self) -> None:
-        self.surrogates: Dict[str, SurrogateGradientModel] = {}
-        self.models: Dict[str, Tuple[Localizer, str]] = {}
-
-
-_WORKER_MEMO = _WorkerMemo()
-
-#: Campaigns are large (every fingerprint array of a building), so a
-#: long-lived queue worker rebuilds each one once — from this memo, the
-#: on-disk cache, or a deterministic re-simulation — instead of reloading it
-#: for every unit.  Unlike models, a campaign is immutable input data, so one
-#: process-level memo is shared by every worker thread; the lock is held
-#: across the rebuild so a second thread wanting the same campaign waits for
-#: one rebuild instead of duplicating it.
-_CAMPAIGN_MEMO: Dict[str, LocalizationCampaign] = {}
-_CAMPAIGN_LOCK = threading.Lock()
-
-
-# ----------------------------------------------------------------------
-# Single-unit execution (standalone entry points for the campaign queue)
+# Unit identity and execution
 # ----------------------------------------------------------------------
 def unit_kind(unit: PlanUnit) -> str:
     """The stage name of one plan unit: campaign/train/eval/scenario."""
@@ -1105,8 +1099,8 @@ class _unit_span:
     (``cache_hits``/``cache_misses`` match exactly what the unit's
     :class:`ArtifactCache` recorded while it ran).  Zero-cost while
     telemetry is disabled (no ids computed, no clock reads).  Sequential
-    use only — a unit span must wrap one unit on one thread at a time,
-    which is how every execution path runs units.
+    use only: :func:`execute_unit` opens one around each unit it runs, and
+    the delta is exact while no other thread uses the same cache instance.
     """
 
     __slots__ = ("_inner", "_stats", "_before", "_live")
@@ -1154,57 +1148,22 @@ class _unit_span:
         self._inner.__exit__(exc_type, exc, tb)
 
 
-def _memoised_campaign(
-    building: str, config: EvaluationConfig, cache: Optional[ArtifactCache]
-) -> Tuple[LocalizationCampaign, str]:
-    """Per-process campaign lookup shared by every standalone unit execution."""
-    digest = cache_key("campaign", _campaign_payload(building, config))
-    with _CAMPAIGN_LOCK:
-        campaign = _CAMPAIGN_MEMO.get(digest)
-        if campaign is None:
-            campaign, _ = simulate_campaign(building, config, cache)
-            _CAMPAIGN_MEMO[digest] = campaign
-    return campaign, digest
-
-
-def _memoised_localizer(
-    task: ModelTask,
-    campaign: LocalizationCampaign,
-    campaign_digest: str,
-    cache: Optional[ArtifactCache],
-) -> Tuple[Localizer, str]:
-    """Per-worker trained-model lookup for standalone unit execution.
-
-    A model's eval/scenario units run as separate queue units, so without a
-    memo every one would deserialise (or retrain) the same localizer from
-    the cache; the in-process engine keeps models in memory across the same
-    span.  Keyed by the trained artefact's digest — registry name, params,
-    defense and campaign — so a worker that drains two runs never serves one
-    run's model to the other, whatever their labels.
-    """
-    memo_key = cache_key("model", _model_payload(task, campaign_digest))
-    hit = _WORKER_MEMO.models.get(memo_key)
-    if hit is None:
-        hit = train_localizer(task, campaign, campaign_digest, cache)
-        _WORKER_MEMO.models[memo_key] = hit
-    return hit
-
-
 def execute_unit(
     unit: PlanUnit,
     config: EvaluationConfig,
-    cache: Optional[ArtifactCache] = None,
+    cache: Optional[ArtifactCache],
+    memo: UnitMemo,
 ) -> Dict[str, Any]:
-    """Execute one plan unit standalone and return a JSON-ready outcome.
+    """Execute one plan unit and return its JSON-ready outcome document.
 
-    This is the reusable single-unit entry point the distributed campaign
-    queue (:mod:`repro.queue`) drives: any process holding the spec's
-    :class:`EvaluationConfig` and (a path to) the shared artefact cache can
-    execute any unit of the plan.  Dependencies are *not* re-executed — they
-    are resolved through the content-addressed cache (or deterministically
-    recomputed when missing, which is slower but bit-identical), so running
-    units in any dependency-respecting order across any number of processes
-    yields the same artefacts and outcomes as the in-process engine.
+    The one unit executor: :meth:`ExecutionEngine.run` calls it for every
+    unit of a plan, and every queue worker (:mod:`repro.queue`) for every
+    unit it claims.  Dependencies are *not* re-executed: they come from
+    ``memo`` when an earlier unit of the same run or worker built them, else
+    from the content-addressed cache, else from a deterministic recompute
+    (slower but bit-identical).  So running units in any
+    dependency-respecting order, across any number of processes, yields the
+    same artefacts and outcomes.
 
     Returns per kind:
 
@@ -1212,105 +1171,74 @@ def execute_unit(
     * eval — ``{"stats": [<ErrorStats dict> per attack point]}``;
     * scenario — ``{"stats": <ErrorStats dict>, "attack_point": <dict>}``.
 
-    Trained models and fitted surrogates are memoised per worker thread and
-    campaigns per process, so a long-lived queue worker pays campaign/model
-    deserialisation once, not once per unit.
+    :func:`plan_records` decodes these documents into result records.
     """
+    kind = unit_kind(unit)
     with _unit_span(unit, config, cache):
-        return _execute_unit(unit, config, cache)
-
-
-def _execute_unit(
-    unit: PlanUnit,
-    config: EvaluationConfig,
-    cache: Optional[ArtifactCache],
-) -> Dict[str, Any]:
-    if isinstance(unit, CampaignUnit):
-        _, digest = _memoised_campaign(unit.building, config, cache)
-        return {"digest": digest}
-    if isinstance(unit, TrainUnit):
-        campaign, campaign_digest = _memoised_campaign(unit.building, config, cache)
-        _, digest = _memoised_localizer(unit.task, campaign, campaign_digest, cache)
-        return {"digest": digest}
-    if isinstance(unit, EvalUnit):
-        campaign, campaign_digest = _memoised_campaign(unit.building, config, cache)
-        model, model_digest = _memoised_localizer(
-            unit.task, campaign, campaign_digest, cache
-        )
-        stats = evaluate_unit(
-            unit,
-            model,
-            model_digest,
-            campaign,
-            config,
-            cache,
-            surrogates=_WORKER_MEMO.surrogates,
-        )
-        return {"stats": [dataclasses.asdict(s) for s in stats]}
-    if isinstance(unit, ScenarioUnit):
-        campaign, campaign_digest = _memoised_campaign(unit.building, config, cache)
+        campaign, campaign_digest = memo.campaign(unit.building, config, cache)
+        if kind == "campaign":
+            return {"digest": campaign_digest}
         model: Optional[Localizer] = None
         model_digest: Optional[str] = None
-        if unit.spec.build().trains_standard_model:
-            model, model_digest = _memoised_localizer(
+        if kind != "scenario" or unit.spec.build().trains_standard_model:
+            model, model_digest = memo.localizer(
                 unit.task, campaign, campaign_digest, cache
             )
-        stats, attack_point = evaluate_scenario_unit(
-            unit,
-            model,
-            model_digest,
-            campaign,
-            campaign_digest,
-            config,
-            cache,
-            surrogates=_WORKER_MEMO.surrogates,
+        if kind == "train":
+            return {"digest": model_digest}
+        if kind == "eval":
+            stats = evaluate_unit(
+                unit, model, model_digest, campaign, config, cache, memo
+            )
+            return {"stats": [dataclasses.asdict(s) for s in stats]}
+        scenario_stats, attack_point = evaluate_scenario_unit(
+            unit, model, model_digest, campaign, campaign_digest, config, cache, memo
         )
         return {
-            "stats": dataclasses.asdict(stats),
+            "stats": dataclasses.asdict(scenario_stats),
             "attack_point": dataclasses.asdict(attack_point),
         }
-    raise TypeError(f"not a plan unit: {unit!r}")
 
 
 def plan_records(
-    plan: ExecutionPlan,
-    eval_stats: Mapping[int, Sequence[ErrorStats]],
-    scenario_outcomes: Mapping[int, Tuple[ErrorStats, AttackScenario]],
+    plan: ExecutionPlan, outcomes: Sequence[Optional[Mapping[str, Any]]]
 ) -> "ResultSet":
-    """Stitch unit outcomes, keyed by unit index, into canonical-order records.
+    """Decode the outcome documents of a plan's units into canonical records.
 
-    Eval-unit records come first, in plan order with one record per attack
-    point, then one record per scenario unit.  Both the engine and the queue
-    (:func:`repro.queue.collect_results`) stitch through here, which is what
-    keeps their result sets identical record for record; a unit index absent
-    from the mappings is skipped (a partially collected queue run).
+    ``outcomes[i]`` is the :func:`execute_unit` document of
+    ``plan.all_units()[i]``, or ``None`` for a unit without one (a partially
+    collected queue run).  Campaign and train outcomes carry no records; eval
+    units give one record per attack point, in plan order, and scenario units
+    one record each after them.  Both the engine and the queue
+    (:func:`repro.queue.collect_results`) decode through here, which is what
+    keeps their result sets identical record for record.
     """
     from .runner import EvaluationRecord, ResultSet
 
     results = ResultSet()
-    for index, unit in enumerate(plan.eval_units):
-        for scenario, stats in zip(unit.scenarios, eval_stats.get(index, ())):
-            results.add(
-                EvaluationRecord(
-                    model=unit.task.label,
-                    building=unit.building,
-                    device=unit.device,
-                    scenario=scenario,
-                    stats=stats,
-                    defense=unit.task.defense_label,
-                )
-            )
-    for index, unit in enumerate(plan.scenario_units):
-        if index not in scenario_outcomes:
+    for unit, outcome in zip(plan.all_units(), outcomes, strict=True):
+        if outcome is None or isinstance(unit, (CampaignUnit, TrainUnit)):
             continue
-        stats, attack_point = scenario_outcomes[index]
+        if isinstance(unit, EvalUnit):
+            for scenario, stats in zip(unit.scenarios, outcome["stats"]):
+                results.add(
+                    EvaluationRecord(
+                        model=unit.task.label,
+                        building=unit.building,
+                        device=unit.device,
+                        scenario=scenario,
+                        stats=ErrorStats(**stats),
+                        defense=unit.task.defense_label,
+                    )
+                )
+            continue
         results.add(
             EvaluationRecord(
                 model=unit.task.label,
                 building=unit.building,
                 device=unit.device,
-                scenario=attack_point,
-                stats=stats,
+                scenario=AttackScenario(**outcome["attack_point"]),
+                stats=ErrorStats(**outcome["stats"]),
                 condition=unit.spec.display_name,
                 defense=unit.task.defense_label,
             )
@@ -1324,11 +1252,14 @@ def plan_records(
 class ExecutionEngine:
     """Executes an experiment grid in-process as a DAG of cached units.
 
-    Units run one at a time in dependency order (campaigns, then training,
-    then scoring), with trained models and fitted surrogates kept in memory
-    across the units that share them.  This is the ``jobs=1`` path of
-    :func:`repro.api.run_experiment`; ``jobs>1`` drains the same plan
-    through queue workers (:mod:`repro.queue`) and returns identical records.
+    :meth:`run` passes every unit of its plan to :func:`execute_unit`, one
+    at a time in :meth:`ExecutionPlan.all_units` order (campaigns, then
+    training, then scoring), with one :class:`UnitMemo` per call that keeps
+    trained models and fitted surrogates in memory across the units that
+    share them and is dropped when the call returns.  This is the ``jobs=1``
+    path of :func:`repro.api.run_experiment`; ``jobs>1`` drains the same
+    plan through queue workers (:mod:`repro.queue`), which call the same
+    executor, and returns identical records.
 
     Parameters
     ----------
@@ -1348,7 +1279,6 @@ class ExecutionEngine:
         self.config = config or EvaluationConfig.quick()
         self.cache = ArtifactCache.coerce(cache)
 
-    # -- public API -----------------------------------------------------
     def run(
         self,
         tasks: Sequence[ModelTask],
@@ -1368,58 +1298,11 @@ class ExecutionEngine:
         plan = build_plan(
             tasks, scenarios, buildings, devices, tuple(robustness or ())
         )
-        return plan_records(plan, *self._execute(plan))
-
-    # -- execution ------------------------------------------------------
-    def _execute(
-        self, plan: ExecutionPlan
-    ) -> Tuple[Dict[int, List[ErrorStats]], Dict[int, Tuple[ErrorStats, AttackScenario]]]:
-        campaigns: Dict[str, Tuple[LocalizationCampaign, str]] = {}
-        for unit in plan.campaign_units:
-            with _unit_span(unit, self.config, self.cache):
-                campaigns[unit.building] = simulate_campaign(
-                    unit.building, self.config, self.cache
-                )
-        models: Dict[Tuple[str, str], Tuple[Localizer, str]] = {}
-        for train_unit in plan.train_units:
-            campaign, campaign_digest = campaigns[train_unit.building]
-            with _unit_span(train_unit, self.config, self.cache):
-                models[(train_unit.task.key, train_unit.building)] = train_localizer(
-                    train_unit.task, campaign, campaign_digest, self.cache
-                )
-        surrogates: Dict[str, SurrogateGradientModel] = {}
-        stats_by_unit: Dict[int, List[ErrorStats]] = {}
-        for index, eval_unit in enumerate(plan.eval_units):
-            campaign, _ = campaigns[eval_unit.building]
-            model, model_digest = models[(eval_unit.task.key, eval_unit.building)]
-            with _unit_span(eval_unit, self.config, self.cache):
-                stats_by_unit[index] = evaluate_unit(
-                    eval_unit,
-                    model,
-                    model_digest,
-                    campaign,
-                    self.config,
-                    self.cache,
-                    surrogates=surrogates,
-                )
-        scenario_outcomes: Dict[int, Tuple[ErrorStats, AttackScenario]] = {}
-        for index, scenario_unit in enumerate(plan.scenario_units):
-            campaign, campaign_digest = campaigns[scenario_unit.building]
-            if scenario_unit.spec.build().trains_standard_model:
-                model, model_digest = models[
-                    (scenario_unit.task.key, scenario_unit.building)
-                ]
-            else:
-                model, model_digest = None, None
-            with _unit_span(scenario_unit, self.config, self.cache):
-                scenario_outcomes[index] = evaluate_scenario_unit(
-                    scenario_unit,
-                    model,
-                    model_digest,
-                    campaign,
-                    campaign_digest,
-                    self.config,
-                    self.cache,
-                    surrogates=surrogates,
-                )
-        return stats_by_unit, scenario_outcomes
+        memo = UnitMemo()
+        return plan_records(
+            plan,
+            [
+                execute_unit(unit, self.config, self.cache, memo)
+                for unit in plan.all_units()
+            ],
+        )

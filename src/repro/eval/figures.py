@@ -29,13 +29,12 @@ Artefacts covered:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.devices import PAPER_DEVICES
 from ..data.floorplan import PAPER_BUILDING_SPECS, paper_building
-from ..interfaces import Localizer
 from .reporting import ascii_table, format_factor_table, text_heatmap
 from .runner import ResultSet
 from .scenarios import AttackScenario, EvaluationConfig
@@ -52,8 +51,6 @@ __all__ = [
     "ablation_adaptive",
     "robustness_matrix",
     "fig6_spec",
-    "calloc_factory",
-    "baseline_factories",
     "DEFAULT_SOTA_BASELINES",
     "DEFAULT_ROBUSTNESS_MODELS",
 ]
@@ -64,36 +61,6 @@ DEFAULT_SOTA_BASELINES = ("AdvLoc", "SANGRIA", "ANVIL", "WiDeep")
 #: Models of the default robustness matrix: the framework plus one classical
 #: and one neural baseline (kept small so the matrix stays CI-affordable).
 DEFAULT_ROBUSTNESS_MODELS = ("CALLOC", "KNN", "DNN")
-
-
-# ----------------------------------------------------------------------
-# Model factories (thin wrappers over the registry + profile defaults)
-# ----------------------------------------------------------------------
-def calloc_factory(
-    config: EvaluationConfig,
-    use_curriculum: bool = True,
-    adaptive: bool = True,
-) -> Callable[[], Localizer]:
-    """Factory producing a CALLOC localizer tuned to the evaluation profile."""
-    from ..api import ModelSpec, model_factory
-
-    return model_factory(
-        ModelSpec(
-            "CALLOC", params={"use_curriculum": use_curriculum, "adaptive": adaptive}
-        ),
-        config,
-    )
-
-
-def baseline_factories(
-    config: EvaluationConfig, names: Optional[Sequence[str]] = None
-) -> Dict[str, Callable[[], Localizer]]:
-    """Factories for registered baselines tuned to the evaluation profile."""
-    from ..api import model_factory
-
-    if names is None:
-        names = DEFAULT_SOTA_BASELINES
-    return {name: model_factory(name, config) for name in names}
 
 
 def _spec(models, **kwargs):

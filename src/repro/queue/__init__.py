@@ -14,8 +14,9 @@ a multi-worker, crash-resumable campaign runner:
   artefact cache.
 * :class:`QueueWorker` / :func:`work` — any number of worker processes (or
   hosts sharing the cache directory) lease ready units via atomic lease
-  files with TTL + heartbeat renewal, execute them through the engine's
-  single-unit entry points so artefacts land in the shared
+  files with TTL + heartbeat renewal, execute them through
+  :func:`~repro.eval.engine.execute_unit`, the executor serial runs use
+  too, so artefacts land in the shared
   :class:`~repro.eval.engine.ArtifactCache`, and retry failed or expired
   units with exponential backoff; a unit that exhausts its attempts is
   parked as ``failed`` and its dependents are ``skipped`` (graceful

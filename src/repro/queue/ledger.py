@@ -34,9 +34,9 @@ volume) to coordinate:
 ``workers/<worker id>.json``
     Heartbeat records for liveness reporting (`repro queue status`).
 
-All mutating writes go through :func:`repro.eval.engine.write_atomic`, the
-same temp-file + ``os.replace`` discipline as the artefact cache, so a
-reader can never observe a torn file.
+All mutating writes go through :func:`repro.atomic.write_atomic`, the same
+temp-file + ``os.replace`` discipline as the artefact cache, so a reader can
+never observe a torn file.
 """
 
 from __future__ import annotations
@@ -675,42 +675,23 @@ def collect_results(
 ) -> "ResultSet":
     """Merge completed unit outcomes into a canonical-order ResultSet.
 
-    Records are stitched by :func:`~repro.eval.engine.plan_records`, the
-    same code :meth:`ExecutionEngine.run` uses, so a fully completed queue
-    run compares byte-identical to a serial
-    :func:`~repro.api.run_experiment` of the same spec.  With
-    ``allow_partial`` units that are not done are silently omitted (the
-    graceful-degradation view of a run with parked failures); otherwise a
-    missing outcome raises :class:`LedgerError`.
+    The outcome documents are decoded by
+    :func:`~repro.eval.engine.plan_records`, the same code
+    :meth:`ExecutionEngine.run` uses, so a fully completed queue run compares
+    byte-identical to a serial :func:`~repro.api.run_experiment` of the same
+    spec.  With ``allow_partial`` units that are not done are silently
+    omitted (the graceful-degradation view of a run with parked failures);
+    otherwise a missing outcome raises :class:`LedgerError`.
     """
-    from ..eval.metrics import ErrorStats
-    from ..eval.scenarios import AttackScenario
-
     plan = ledger.plan
-    config = ledger.config
-
-    def outcome_for(unit: PlanUnit) -> Optional[Dict[str, Any]]:
-        uid = unit_id(unit, config)
-        document = ledger.read_result(uid)
+    outcomes = []
+    for entry in ledger.units:
+        document = ledger.read_result(entry.id)
         if document is None and not allow_partial:
-            state = ledger.unit_state(uid)
+            state = ledger.unit_state(entry.id)
             raise LedgerError(
-                f"unit {uid} has no result (state '{state.state}'); run "
+                f"unit {entry.id} has no result (state '{state.state}'); run "
                 "`repro queue work` to completion or pass --allow-partial"
             )
-        return document
-
-    eval_stats = {}
-    for index, unit in enumerate(plan.eval_units):
-        document = outcome_for(unit)
-        if document is not None:
-            eval_stats[index] = [ErrorStats(**stats) for stats in document["stats"]]
-    scenario_outcomes = {}
-    for index, unit in enumerate(plan.scenario_units):
-        document = outcome_for(unit)
-        if document is not None:
-            scenario_outcomes[index] = (
-                ErrorStats(**document["stats"]),
-                AttackScenario(**document["attack_point"]),
-            )
-    return plan_records(plan, eval_stats, scenario_outcomes)
+        outcomes.append(document)
+    return plan_records(plan, outcomes)

@@ -8,10 +8,11 @@ A :class:`QueueWorker` is one loop over a :class:`~repro.queue.ledger.RunLedger`
 2. claim it with an atomic lease file, then start a heartbeat thread that
    renews the lease every ``ttl / 3`` seconds so long-running units survive
    any fixed TTL;
-3. execute it through :func:`repro.eval.engine.execute_unit` — artefacts
-   land in the shared :class:`~repro.eval.engine.ArtifactCache`, the outcome
-   document lands in the ledger's ``results/`` directory, and the unit is
-   marked ``done``;
+3. execute it through :func:`repro.eval.engine.execute_unit`, the executor
+   serial runs use too, with the worker's own
+   :class:`~repro.eval.engine.UnitMemo` — artefacts land in the shared
+   :class:`~repro.eval.engine.ArtifactCache`, the outcome document lands in
+   the ledger's ``results/`` directory, and the unit is marked ``done``;
 4. on exception, book a failed attempt (exponential backoff, parked as
    ``failed`` after ``max_attempts``); dependents of a failed unit are
    marked ``skipped`` so the run still drains instead of deadlocking.
@@ -32,7 +33,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from ..eval.engine import ArtifactCache, execute_unit
+from ..eval.engine import ArtifactCache, UnitMemo, execute_unit
 from ..obs import events, trace
 from ..obs.metrics import REGISTRY
 from ..spawn import one_thread_blas
@@ -49,7 +50,8 @@ from .ledger import (
 
 __all__ = ["WorkerOptions", "QueueWorker", "work", "default_worker_id"]
 
-#: A patchable unit executor: ``(unit, config, cache) -> outcome document``.
+#: A patchable unit executor: ``(unit, config, cache, memo) -> outcome
+#: document``, where ``memo`` is the worker's :class:`UnitMemo`.
 UnitExecutor = Callable[..., Dict[str, Any]]
 
 #: While idle, re-advertise liveness this often.  Idle polls can be fast
@@ -156,6 +158,7 @@ class QueueWorker:
         self.worker_id = worker_id or default_worker_id()
         self.options = options or WorkerOptions()
         self._execute = execute or execute_unit
+        self._memo = UnitMemo()
         self._plan_units = ledger.plan_units_by_id()
         self._entries = ledger.units
         self.executed = 0
@@ -296,7 +299,7 @@ class QueueWorker:
                     self.ledger, entry.id, self.worker_id, self.options.ttl_s
                 ):
                     outcome = self._execute(
-                        unit, self.ledger.config, self.ledger.cache
+                        unit, self.ledger.config, self.ledger.cache, self._memo
                     )
             self.ledger.write_result(entry.id, outcome)
             self.ledger.mark_done(entry.id, self.worker_id)

@@ -9,18 +9,21 @@ content-addressed cache keying rules, and the engine-backed entry points
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.eval.engine
 import repro.queue
-from repro.api import ExperimentSpec, LocalizationService, run_experiment
+from repro.api import ExperimentSpec, LocalizationService, ModelSpec, run_experiment
 from repro.eval import ExperimentRunner
 from repro.eval.engine import (
     ArtifactCache,
@@ -324,3 +327,94 @@ class TestEngineUnits:
         np.testing.assert_array_equal(
             service.localize(queries).labels, again.localize(queries).labels
         )
+
+
+#: Drains quickly: no idle poll to speak of, no retry backoff.
+FAST_WORKER = repro.queue.WorkerOptions(poll_s=0.01, backoff_s=0.0)
+
+
+def _drain(spec: ExperimentSpec, cache_dir: Path) -> list:
+    """Records of ``spec`` drained by one in-process queue worker."""
+    cache = ArtifactCache(cache_dir)
+    ledger = repro.queue.RunLedger.submit(spec, cache)
+    assert repro.queue.work(cache, ledger.run_id, workers=1, options=FAST_WORKER)
+    return repro.queue.collect_results(ledger).to_records()
+
+
+class TestRunScopedMemo:
+    """Serial runs and queue workers execute units through one executor whose
+    memo of campaigns, models and surrogates lives as long as the run."""
+
+    #: KNN is attacked through a surrogate, DNN through its own gradient.
+    SPEC = ExperimentSpec(
+        models=("KNN", "DNN"),
+        profile="quick",
+        devices=("OP3",),
+        attack_methods=("FGSM",),
+        epsilons=(0.3,),
+        phi_percents=(50.0,),
+    )
+
+    @pytest.fixture
+    def trained(self, monkeypatch) -> list:
+        """Weak references to every model ``train_localizer`` returns."""
+        original = repro.eval.engine.train_localizer
+        refs = []
+
+        def tracking(*args, **kwargs):
+            model, digest = original(*args, **kwargs)
+            refs.append(weakref.ref(model))
+            return model, digest
+
+        monkeypatch.setattr(repro.eval.engine, "train_localizer", tracking)
+        return refs
+
+    @staticmethod
+    def _alive(refs: list) -> int:
+        gc.collect()
+        return sum(ref() is not None for ref in refs)
+
+    def test_no_model_outlives_a_queue_drain(self, trained, tmp_path):
+        _drain(self.SPEC, tmp_path / "cache")
+        assert len(trained) == 2
+        assert self._alive(trained) == 0
+
+    def test_no_model_outlives_a_serial_run(self, trained):
+        run_experiment(self.SPEC)
+        assert len(trained) == 2
+        assert self._alive(trained) == 0
+
+    def test_labels_sharing_a_model_digest_fit_once(self, monkeypatch, tmp_path):
+        # k=5 restates KNN's default, so both labels key the same artefact.
+        spec = ExperimentSpec(
+            models=(
+                ModelSpec("KNN"),
+                ModelSpec("KNN", params={"k": 5}, label="KNN-k5"),
+            ),
+            profile="quick",
+            devices=("OP3",),
+            attack_methods=("FGSM",),
+            epsilons=(0.3,),
+            phi_percents=(50.0,),
+        )
+        config = spec.config()
+        reference = ExperimentRunner(config).evaluate_models(
+            spec.resolve_factories(config),
+            spec.resolve_scenarios(config),
+            buildings=spec.buildings,
+            devices=spec.devices,
+        ).to_records()
+
+        original = repro.eval.engine.train_localizer
+        fits = []
+
+        def counting(task, *args, **kwargs):
+            fits.append(task.label)
+            return original(task, *args, **kwargs)
+
+        monkeypatch.setattr(repro.eval.engine, "train_localizer", counting)
+        serial = run_experiment(spec, cache=False).to_records()
+        assert len(fits) == len(config.buildings)
+        assert {record["model"] for record in serial} == {"KNN", "KNN-k5"}
+        assert serial == reference
+        assert _drain(spec, tmp_path / "cache") == reference

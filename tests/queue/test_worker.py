@@ -119,10 +119,10 @@ class TestGracefulDegradation:
     def test_failed_unit_parks_and_dependents_skip(self, spec, cache):
         ledger = RunLedger.submit(spec, cache)
 
-        def flaky_execute(unit, config, cache_):
+        def flaky_execute(unit, config, cache_, memo):
             if unit_kind(unit) == "train" and unit.task.label == "DNN":
                 raise RuntimeError("injected training failure")
-            return execute_unit(unit, config, cache_)
+            return execute_unit(unit, config, cache_, memo)
 
         worker = QueueWorker(
             ledger,
@@ -159,11 +159,11 @@ class TestGracefulDegradation:
         ledger = RunLedger.submit(spec, cache)
         calls = {"n": 0}
 
-        def flaky_once(unit, config, cache_):
+        def flaky_once(unit, config, cache_, memo):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return execute_unit(unit, config, cache_)
+            return execute_unit(unit, config, cache_, memo)
 
         worker = QueueWorker(
             ledger,
