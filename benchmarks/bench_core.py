@@ -20,37 +20,30 @@ quietly re-introduces a per-element loop fails loudly in CI::
 Results are written to ``BENCH_core.json`` (override with ``--output``).
 Exit status is non-zero when any identity check fails, or — with
 ``--check-against`` — when any op's throughput drops below
-``tolerance * baseline``.
+``tolerance * baseline`` or the baseline is missing or shares no op.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow running without installing
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro import __version__  # noqa: E402
-from repro.attacks.base import GradientProvider, ThreatModel  # noqa: E402
-from repro.attacks.fgsm import FGSMAttack  # noqa: E402
-from repro.attacks.mim import MIMAttack  # noqa: E402
-from repro.attacks.pgd import PGDAttack  # noqa: E402
-from repro.baselines.gbdt import GradientBoostedClassifier  # noqa: E402
-from repro.core import CALLOCModel, kernels  # noqa: E402
-from repro.nn.fastpath import ce_target_matrix  # noqa: E402
-from repro.nn.layers import Conv1d, Linear, MaxPool1d, ReLU  # noqa: E402
-from repro.nn.losses import CrossEntropyLoss, MSELoss  # noqa: E402
-from repro.nn.tensor import Tensor  # noqa: E402
+import harness  # first: puts src/ on sys.path
+from repro.attacks.base import ThreatModel
+from repro.attacks.fgsm import FGSMAttack
+from repro.attacks.mim import MIMAttack
+from repro.attacks.pgd import PGDAttack
+from repro.baselines.gbdt import GradientBoostedClassifier
+from repro.core import CALLOCModel, kernels
+from repro.nn.fastpath import ce_target_matrix
+from repro.nn.layers import Conv1d, Linear, MaxPool1d, ReLU
+from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.tensor import Tensor
 
 #: The paper's quick-profile geometry: 165 visible APs, 61 reference points.
 NUM_APS = 165
@@ -396,7 +389,7 @@ def run_throughput(rng: np.random.Generator) -> Dict[str, Dict[str, float]]:
     return ops
 
 
-def run_benchmark(output: Optional[Path] = None) -> Dict[str, object]:
+def measure(args: argparse.Namespace) -> Dict[str, object]:
     rng = np.random.default_rng(0)
     print("identity checks (vectorized vs loop, fused vs autograd; bitwise) ...", flush=True)
     identity = run_identity_checks(rng)
@@ -406,31 +399,59 @@ def run_benchmark(output: Optional[Path] = None) -> Dict[str, object]:
     ops = run_throughput(rng)
     for name, record in ops.items():
         print(f"  {name}: {record['elements_per_s']:.3e} elem/s")
-    report: Dict[str, object] = {
-        "benchmark": "core",
-        "version": __version__,
-        "created_unix": time.time(),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
+    return {
         "batch": BATCH,
         "num_aps": NUM_APS,
         "num_classes": NUM_CLASSES,
         "identity": identity,
         "ops": ops,
     }
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {output}")
-    return report
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_core.json")
+def check_throughput(
+    gates: harness.Gates, ops: Dict[str, Dict[str, float]], baseline: Path, tolerance: float
+) -> None:
+    """Gate every op the baseline also timed at ``tolerance`` × its throughput.
+
+    Fails closed: a missing baseline, one without an ``ops`` map, or one that
+    shares no op with this run fails the gate instead of passing unread.
+    Ops new in this run are listed and skipped.
+    """
+    reference = json.loads(baseline.read_text()).get("ops", {}) if baseline.is_file() else {}
+    ratios = {
+        name: record["elements_per_s"] / reference[name]["elements_per_s"]
+        for name, record in ops.items()
+        if name in reference
+    }
+    new = [name for name in ops if name not in ratios]
+    if new:
+        print(f"  not in {baseline}, so not gated: {new}")
+    regressions = [
+        f"{name}: {ops[name]['elements_per_s']:.3e} < "
+        f"{tolerance} * {reference[name]['elements_per_s']:.3e}"
+        for name, ratio in ratios.items()
+        if ratio < tolerance
+    ]
+    gates.check(
+        "tolerance",
+        round(min(ratios.values()), 4) if ratios else None,
+        tolerance,
+        bool(ratios) and not regressions,
+        f"throughput regressions: {'; '.join(regressions)}"
+        if ratios
+        else f"no op of this run to compare against in {baseline} "
+        "(missing file, no ops map, or no op in common)",
+    )
+
+
+def gate(args: argparse.Namespace, report: Dict[str, object], gates: harness.Gates) -> None:
+    gates.identity(report["identity"], "identity checks diverged")
+    if args.check_against is not None:
+        check_throughput(gates, report["ops"], args.check_against, args.tolerance)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser("core", __doc__)
     parser.add_argument(
         "--check-against",
         type=Path,
@@ -444,33 +465,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="fail ops slower than tolerance * baseline throughput (CI machines "
         "vary widely, so the default is deliberately loose)",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    report = run_benchmark(args.output)
-    failures = [name for name, passed in report["identity"].items() if not passed]
-    if failures:
-        print(f"FAIL: identity checks diverged: {failures}", file=sys.stderr)
-        return 1
-    if args.check_against is not None and args.check_against.is_file():
-        baseline = json.loads(args.check_against.read_text())
-        regressions = []
-        for name, record in report["ops"].items():
-            reference = baseline.get("ops", {}).get(name)
-            if reference is None:
-                continue
-            floor = args.tolerance * reference["elements_per_s"]
-            if record["elements_per_s"] < floor:
-                regressions.append(
-                    f"{name}: {record['elements_per_s']:.3e} < "
-                    f"{args.tolerance} * {reference['elements_per_s']:.3e}"
-                )
-        if regressions:
-            print("FAIL: throughput regressions:", file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-    return 0
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main("core", build_parser(), measure, gate, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -30,27 +30,20 @@ overhead exceeds the gate.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
+import copy
 import time
-from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow running without installing
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro import __version__  # noqa: E402
-from repro.api import PROFILES, LocalizationService, default_model_params  # noqa: E402
-from repro.attacks import FGSMAttack, ThreatModel  # noqa: E402
-from repro.data.fingerprint import denormalize_rss  # noqa: E402
-from repro.defenses import DefenseSpec  # noqa: E402
-from repro.eval.engine import ArtifactCache, simulate_campaign  # noqa: E402
-from repro.registry import make_localizer  # noqa: E402
+import harness  # first: puts src/ on sys.path
+from repro.api import PROFILES, LocalizationService, default_model_params
+from repro.attacks import FGSMAttack, ThreatModel
+from repro.data.campaign import LocalizationCampaign
+from repro.data.fingerprint import denormalize_rss
+from repro.defenses import DefenseSpec
+from repro.eval import EvaluationConfig
+from repro.registry import make_localizer
 
 #: Training-time defenses compared against the undefended baseline.
 TRAINING_DEFENSES = ("none", "curriculum", "pgd-adversarial", "input-noise")
@@ -63,11 +56,9 @@ def _attacked(features: np.ndarray, labels: np.ndarray, victim) -> np.ndarray:
 
 
 def bench_training(
-    model: str, building: str, profile: str
+    model: str, campaign: LocalizationCampaign, config: EvaluationConfig
 ) -> Dict[str, Dict[str, float]]:
     """Train the model under every defense; report cost and clean/attacked error."""
-    config = PROFILES[profile]()
-    campaign, _ = simulate_campaign(building, config, None)
     test = campaign.test_for(config.devices[0])
     params = default_model_params(model, config)
     variants: Dict[str, Dict[str, float]] = {}
@@ -75,9 +66,7 @@ def bench_training(
         print(f"training {model} under '{name}' ...", flush=True)
         instance = make_localizer(model, **params)
         defense = DefenseSpec.create(name).build()
-        start = time.perf_counter()
-        defense.wrap_training(instance, campaign.train)
-        wall = time.perf_counter() - start
+        wall, _ = harness.timed(defense.wrap_training, instance, campaign.train)
         clean = instance.error_summary(test)
         attacked = instance.error_summary(
             test.with_rss(
@@ -100,74 +89,67 @@ def bench_training(
 
 
 def bench_guard(
-    building: str, profile: str, requests: int, guard_model: str = "CALLOC"
+    plain: LocalizationService,
+    campaign: LocalizationCampaign,
+    config: EvaluationConfig,
+    queries: np.ndarray,
 ) -> Dict[str, object]:
-    """Per-request guard overhead: guarded vs unguarded localize on one service."""
-    config = PROFILES[profile]()
-    campaign, _ = simulate_campaign(building, config, None)
-    test = campaign.test_for(config.devices[0])
-    queries = np.tile(
-        test.features, (requests // test.features.shape[0] + 1, 1)
-    )[:requests]
+    """Per-request guard overhead: guarded vs unguarded localize on one model."""
+    guarded = copy.copy(plain).attach_guard(DefenseSpec.create("detector"), dataset=campaign.train)
+    requests = queries.shape[0]
+    labels = {name: np.empty(requests, dtype=np.int64) for name in ("unguarded", "guarded")}
 
-    print(f"training served model {guard_model} ...", flush=True)
-    params = default_model_params(guard_model, config)
-    plain = LocalizationService(guard_model, params=params).fit(campaign.train)
-    guarded = LocalizationService(guard_model, params=params, _localizer=plain.localizer)
-    guarded._rp_positions = plain._rp_positions
-    guarded._num_aps = plain._num_aps
-    guarded.attach_guard(DefenseSpec.create("detector"), dataset=campaign.train)
+    def drive(service: LocalizationService, out: np.ndarray) -> Callable[[], float]:
+        def run() -> float:
+            start = time.perf_counter()
+            for index in range(requests):
+                out[index] = service.localize(queries[index]).labels[0]
+            return time.perf_counter() - start
 
-    def drive(service: LocalizationService) -> Dict[str, object]:
-        labels = np.empty(requests, dtype=np.int64)
-        start = time.perf_counter()
-        for index in range(requests):
-            labels[index] = service.localize(queries[index]).labels[0]
-        wall = time.perf_counter() - start
-        return {
-            "wall_s": round(wall, 4),
-            "per_request_us": round(wall / requests * 1e6, 2),
-            "labels": labels,
-        }
+        return run
 
-    # Warm caches/allocators, then interleave repetitions and keep each
-    # mode's best pass: a ratio gate on two single back-to-back runs would
-    # flake on any background load landing in one of them.
+    # Warm caches/allocators, then run paired passes and keep each mode's
+    # best pass: a ratio gate on two single back-to-back runs would flake on
+    # any background load landing in one of them.
     for index in range(min(200, requests)):
         plain.localize(queries[index])
         guarded.localize(queries[index])
-    unguarded: Dict[str, object] = {}
-    with_guard: Dict[str, object] = {}
     repeats = 3
     print(
         f"replaying {requests} single-fingerprint requests x {repeats} "
-        "interleaved passes (unguarded vs detector guard) ...",
+        "paired passes (unguarded vs detector guard) ...",
         flush=True,
     )
-    for _ in range(repeats):
-        candidate = drive(plain)
-        if not unguarded or candidate["wall_s"] < unguarded["wall_s"]:
-            unguarded = candidate
-        candidate = drive(guarded)
-        if not with_guard or candidate["wall_s"] < with_guard["wall_s"]:
-            with_guard = candidate
-    print(f"  unguarded {unguarded['per_request_us']}us/request")
-    print(f"  guarded   {with_guard['per_request_us']}us/request")
-
-    identical = bool(np.array_equal(unguarded.pop("labels"), with_guard.pop("labels")))
-    overhead = (
-        with_guard["per_request_us"] / unguarded["per_request_us"] - 1.0  # type: ignore[operator]
+    run = harness.paired(
+        {
+            "unguarded": drive(plain, labels["unguarded"]),
+            "guarded": drive(guarded, labels["guarded"]),
+        },
+        repeats,
+        ratio=("guarded", "unguarded"),
     )
+    best = {name: min(walls) for name, walls in run["samples"].items()}
+    modes = {
+        name: {"wall_s": round(wall, 4), "per_request_us": round(wall / requests * 1e6, 2)}
+        for name, wall in best.items()
+    }
+    print(f"  unguarded {modes['unguarded']['per_request_us']}us/request")
+    print(f"  guarded   {modes['guarded']['per_request_us']}us/request")
+    overhead = best["guarded"] / best["unguarded"] - 1.0
+    test = campaign.test_for(config.devices[0])
     flagged = guarded.localize(
         _attacked(test.features, test.labels, _surrogate(campaign))
     ).guard_flags
+    print(
+        f"guard overhead {overhead * 100:.1f}% per request, "
+        f"attacked flag rate {flagged.mean() * 100:.0f}%"
+    )
     return {
-        "model": guard_model,
+        "model": plain.model_name,
         "requests": requests,
-        "unguarded": unguarded,
-        "guarded": with_guard,
+        **modes,
         "overhead_fraction": round(overhead, 4),
-        "identical_predictions": identical,
+        "identical_predictions": bool(np.array_equal(labels["unguarded"], labels["guarded"])),
         "attacked_flag_rate": round(float(flagged.mean()), 4),
     }
 
@@ -179,38 +161,31 @@ def _surrogate(campaign):
     return model
 
 
-def run_benchmark(
-    model: str,
-    building: str,
-    profile: str,
-    requests: int,
-    output: Optional[Path],
-    guard_model: str = "CALLOC",
-) -> Dict[str, object]:
-    report: Dict[str, object] = {
-        "benchmark": "defenses",
-        "version": __version__,
-        "created_unix": time.time(),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
-        "profile": profile,
-        "model": model,
-        "building": building,
-        "training": bench_training(model, building, profile),
-        "guard": bench_guard(building, profile, requests, guard_model=guard_model),
+def measure(args: argparse.Namespace) -> Dict[str, object]:
+    config = PROFILES[args.profile]()
+    print(f"training served model {args.guard_model} ...", flush=True)
+    plain, campaign, queries = harness.served_model(
+        args.guard_model, args.building, config, args.requests, cache=False
+    )
+    return {
+        "profile": args.profile,
+        "model": args.model,
+        "building": args.building,
+        "training": bench_training(args.model, campaign, config),
+        "guard": bench_guard(plain, campaign, config, queries),
     }
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {output}")
-    return report
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def gate(args: argparse.Namespace, report: Dict[str, object], gates: harness.Gates) -> None:
+    guard = report["guard"]
+    gates.identity({"guarded_vs_unguarded": guard["identical_predictions"]},
+                   "guarded predictions diverged from unguarded")
+    gates.at_most("max_guard_overhead", guard["overhead_fraction"], args.max_guard_overhead,
+                  "per-request guard overhead", enabled=args.max_guard_overhead > 0)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser("defenses", __doc__)
     parser.add_argument(
         "--model",
         default="DNN",
@@ -226,42 +201,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="model served behind the guard in the overhead run (CALLOC: the "
         "framework the paper deploys)",
     )
-    parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_defenses.json")
     parser.add_argument(
         "--max-guard-overhead", type=float, default=0.10,
         help="fail when the detector guard adds more than this fraction of "
         "per-request latency (0 disables the gate)",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    report = run_benchmark(
-        model=args.model,
-        building=args.building,
-        profile=args.profile,
-        requests=args.requests,
-        output=args.output,
-        guard_model=args.guard_model,
-    )
-    guard = report["guard"]
-    print(
-        f"guard overhead {guard['overhead_fraction'] * 100:.1f}% per request, "  # type: ignore[index]
-        f"attacked flag rate {guard['attacked_flag_rate'] * 100:.0f}%"  # type: ignore[index]
-    )
-    if not guard["identical_predictions"]:  # type: ignore[index]
-        print("FAIL: guarded predictions diverged from unguarded", file=sys.stderr)
-        return 1
-    if (
-        args.max_guard_overhead > 0
-        and guard["overhead_fraction"] > args.max_guard_overhead  # type: ignore[index]
-    ):
-        print(
-            f"FAIL: guard overhead {guard['overhead_fraction']:.3f} above "  # type: ignore[index]
-            f"gate {args.max_guard_overhead:.3f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main("defenses", build_parser(), measure, gate, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -38,46 +38,21 @@ the queue overhead must stay under ``1/min-parallel`` of the serial time.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
-import sys
 import tempfile
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow running without installing
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro import __version__  # noqa: E402
-from repro.api import PROFILES, ExperimentSpec, run_experiment  # noqa: E402
-
-DEFAULT_MODELS = ("KNN", "DNN", "AdvLoc", "WiDeep")
+import harness  # first: puts src/ on sys.path
+from repro.api import PROFILES, ExperimentSpec, run_experiment
 
 
-def _time_run(spec: ExperimentSpec, jobs: int, cache: object) -> tuple:
-    start = time.perf_counter()
-    results = run_experiment(spec, jobs=jobs, cache=cache)
-    elapsed = time.perf_counter() - start
-    return elapsed, results.to_records()
-
-
-def run_benchmark(
-    models: Sequence[str] = DEFAULT_MODELS,
-    profile: str = "quick",
-    jobs: int = 0,
-    output: Optional[Path] = None,
-) -> Dict[str, object]:
-    """Execute the four benchmark modes and return the report dictionary."""
-    if profile not in PROFILES:
-        raise SystemExit(f"unknown profile '{profile}'; expected one of {sorted(PROFILES)}")
-    if jobs <= 0:
-        # At least 2 workers so the queue path is always exercised
-        # (and cross-checked for bit-identity), even on single-core boxes.
-        jobs = max(2, min(4, os.cpu_count() or 1))
-    spec = ExperimentSpec(models=tuple(models), profile=profile, name="bench_engine")
+def measure(args: argparse.Namespace) -> Dict[str, object]:
+    """Execute the four benchmark modes and return the report sections."""
+    # At least 2 workers so the queue path is always exercised
+    # (and cross-checked for bit-identity), even on single-core boxes.
+    jobs = args.jobs if args.jobs > 0 else max(2, min(4, os.cpu_count() or 1))
+    models = args.models
+    spec = ExperimentSpec(models=tuple(models), profile=args.profile, name="bench_engine")
     spec.validate()
     config = spec.config()
     scenarios = spec.resolve_scenarios(config)
@@ -93,68 +68,66 @@ def run_benchmark(
           f"{len(config.devices)} devices x {len(scenarios)} scenarios)")
 
     timings: Dict[str, float] = {}
-    records: Dict[str, List[dict]] = {}
-
-    print("serial_cold   (jobs=1, no cache) ...", flush=True)
-    timings["serial_cold"], records["serial_cold"] = _time_run(spec, 1, False)
-    print(f"  {timings['serial_cold']:.2f}s")
-
-    print(f"parallel_cold (jobs={jobs}, no cache) ...", flush=True)
-    timings["parallel_cold"], records["parallel_cold"] = _time_run(spec, jobs, False)
-    print(f"  {timings['parallel_cold']:.2f}s")
-
+    records: Dict[str, list] = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
-        print("cached_cold   (jobs=1, fresh cache) ...", flush=True)
-        timings["cached_cold"], records["cached_cold"] = _time_run(spec, 1, cache_dir)
-        print(f"  {timings['cached_cold']:.2f}s")
-
-        print("cached_warm   (jobs=1, warm cache) ...", flush=True)
-        timings["cached_warm"], records["cached_warm"] = _time_run(spec, 1, cache_dir)
-        print(f"  {timings['cached_warm']:.2f}s")
+        for mode, mode_jobs, cache, note in (
+            ("serial_cold", 1, False, "no cache"),
+            ("parallel_cold", jobs, False, "no cache"),
+            ("cached_cold", 1, cache_dir, "fresh cache"),
+            ("cached_warm", 1, cache_dir, "warm cache"),
+        ):
+            print(f"{mode:<13} (jobs={mode_jobs}, {note}) ...", flush=True)
+            timings[mode], results = harness.timed(
+                run_experiment, spec, jobs=mode_jobs, cache=cache
+            )
+            records[mode] = results.to_records()
+            print(f"  {timings[mode]:.2f}s")
 
     reference = records["serial_cold"]
-    identical = {mode: rows == reference for mode, rows in records.items()}
     speedups = {
         "parallel_vs_serial": timings["serial_cold"] / max(timings["parallel_cold"], 1e-9),
         "warm_cache_vs_serial": timings["serial_cold"] / max(timings["cached_warm"], 1e-9),
         "cached_cold_overhead": timings["cached_cold"] / max(timings["serial_cold"], 1e-9),
     }
-    report: Dict[str, object] = {
-        "benchmark": "engine",
-        "version": __version__,
-        "created_unix": time.time(),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
-        "profile": profile,
-        "jobs": jobs,
-        "grid": grid,
-        "timings_s": {mode: round(value, 4) for mode, value in timings.items()},
-        "speedups": {name: round(value, 3) for name, value in speedups.items()},
-        "identical": identical,
-    }
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {output}")
     print(
         f"speedups: parallel {speedups['parallel_vs_serial']:.2f}x, "
         f"warm cache {speedups['warm_cache_vs_serial']:.2f}x"
     )
-    return report
+    return {
+        "profile": args.profile,
+        "jobs": jobs,
+        "grid": grid,
+        "timings_s": {mode: round(value, 4) for mode, value in timings.items()},
+        "speedups": {name: round(value, 3) for name, value in speedups.items()},
+        "identical": {mode: rows == reference for mode, rows in records.items()},
+    }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--models", nargs="+", default=list(DEFAULT_MODELS),
+def gate(args: argparse.Namespace, report: Dict[str, object], gates: harness.Gates) -> None:
+    gates.identity(report["identical"], "results diverged from serial_cold in")
+    speedups = report["speedups"]
+    best = max(speedups["parallel_vs_serial"], speedups["warm_cache_vs_serial"])
+    gates.at_least("min_speedup", best, args.min_speedup, "best of parallel and warm-cache "
+                   "speedup", enabled=args.min_speedup > 0)
+    cpus = os.cpu_count() or 1
+    # One core: N workers cannot win, but they must not lose badly either —
+    # this is the regression this benchmark exists to catch (parallel used
+    # to run *slower* than serial) — so the floor there is 1/min_parallel.
+    floor = args.min_parallel
+    if cpus < 2 and args.min_parallel > 0:
+        floor = 1.0 / args.min_parallel
+    gates.at_least("min_parallel", speedups["parallel_vs_serial"], floor,
+                   f"parallel speedup on {cpus} CPUs", enabled=args.min_parallel > 0)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser("engine", __doc__)
+    parser.add_argument("--models", nargs="+", default=["KNN", "DNN", "AdvLoc", "WiDeep"],
                         help="registry names of the models in the grid")
     parser.add_argument("--profile", default="quick", choices=sorted(PROFILES))
     parser.add_argument("--jobs", type=int, default=0,
                         help="queue workers for parallel_cold "
                         "(default: max(2, min(4, cpus)))")
-    parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_engine.json")
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="fail unless max(parallel, warm-cache) speedup reaches "
                         "this factor (0 disables the gate)")
@@ -162,43 +135,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="with >=2 CPUs, fail unless the queue workers beat "
                         "serial by this factor; with 1 CPU, fail if queue overhead "
                         "pushes parallel past 1/this of serial (0 disables)")
-    args = parser.parse_args(argv)
+    return parser
 
-    report = run_benchmark(args.models, args.profile, args.jobs, args.output)
-    if not all(report["identical"].values()):
-        diverged = [mode for mode, same in report["identical"].items() if not same]
-        print(f"FAIL: results diverged from serial_cold in: {diverged}", file=sys.stderr)
-        return 1
-    best = max(report["speedups"]["parallel_vs_serial"],
-               report["speedups"]["warm_cache_vs_serial"])
-    if args.min_speedup > 0 and best < args.min_speedup:
-        print(
-            f"FAIL: best speedup {best:.2f}x below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    parallel = report["speedups"]["parallel_vs_serial"]
-    cpus = report["machine"]["cpu_count"] or 1
-    if args.min_parallel > 0:
-        if cpus >= 2 and parallel < args.min_parallel:
-            print(
-                f"FAIL: parallel speedup {parallel:.2f}x below required "
-                f"{args.min_parallel:.2f}x on {cpus} CPUs",
-                file=sys.stderr,
-            )
-            return 1
-        if cpus < 2 and parallel < 1.0 / args.min_parallel:
-            # One core: N workers cannot win, but they must not lose badly
-            # either — this is the regression this benchmark exists to catch
-            # (parallel used to run *slower* than serial).
-            print(
-                f"FAIL: parallel ran {1.0 / max(parallel, 1e-9):.2f}x slower than "
-                f"serial on a single CPU (transport overhead regression)",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main("engine", build_parser(), measure, gate, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -31,45 +31,20 @@ falls below its gate (pass 0 to disable a gate).
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import statistics
-import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow running without installing
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro import __version__  # noqa: E402
-from repro.api import (  # noqa: E402
-    ExperimentSpec,
-    LocalizationService,
-    run_experiment,
-)
-from repro.obs import events, trace  # noqa: E402
-from repro.serve import ModelStore, ServiceClient  # noqa: E402
-from repro.serve.aio.server import AioServerThread  # noqa: E402
-from repro.serve.http import ServingApp  # noqa: E402
-
-
-def _bench_spec(model: str, building: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        models=(model,),
-        buildings=(building,),
-        profile="quick",
-        devices=("OP3",),
-        attack_methods=("FGSM",),
-        epsilons=(0.1,),
-        phi_percents=(10.0,),
-    )
+import harness  # first: puts src/ on sys.path
+from repro.api import PROFILES, ExperimentSpec, LocalizationService, run_experiment
+from repro.obs import events, trace
+from repro.serve import ModelStore, ServiceClient
+from repro.serve.aio.server import AioServerThread
+from repro.serve.http import ServingApp
 
 
 def _telemetry_setup(sink_dir: Path) -> None:
@@ -92,29 +67,40 @@ def _telemetry_teardown() -> None:
     trace.set_enabled(None)
 
 
-def _drive_serving(
-    app: ServingApp, endpoint: str, queries: np.ndarray, threads: int
-) -> float:
-    """Requests/second for one replay of ``queries`` from ``threads`` callers."""
-    cursor = {"next": 0}
-    lock = threading.Lock()
+def _on_off(
+    sample: Callable[[], float], reps: int, ratio: Tuple[str, str], unit: str, digits: int
+) -> Dict[str, object]:
+    """Paired reps of ``sample`` with tracing on and off; median of paired ratios.
 
-    def worker() -> None:
-        while True:
-            with lock:
-                index = cursor["next"]
-                if index >= queries.shape[0]:
-                    return
-                cursor["next"] = index + 1
-            app.localize(endpoint, queries[index])
+    Shared 1-CPU runners drift in steps (cgroup quota refills, noisy
+    neighbours arriving and leaving), so per-arm aggregates are biased by
+    whichever arm got more samples on the fast side of a step.  Instead
+    each rep runs both arms back-to-back (order alternating) and yields one
+    on/off ratio; steps between reps cancel inside the pair, and the
+    *median* over reps discards the pairs a step landed in the middle of.
+    """
 
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    start = time.perf_counter()
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    return queries.shape[0] / (time.perf_counter() - start)
+    def arm(enabled: bool) -> Callable[[], float]:
+        def run() -> float:
+            trace.set_enabled(enabled)
+            return sample()
+
+        return run
+
+    try:
+        run = harness.paired({"on": arm(True), "off": arm(False)}, reps, ratio=ratio)
+    finally:
+        trace.set_enabled(True)
+    paired = [round(v, 4) for v in run["ratios"]]
+    median = round(statistics.median(run["ratios"]), 4)
+    print(f"  paired ratios {paired} (median {median})")
+    return {
+        "reps": reps,
+        f"telemetry_on_{unit}": [round(v, digits) for v in run["samples"]["on"]],
+        f"telemetry_off_{unit}": [round(v, digits) for v in run["samples"]["off"]],
+        "paired_ratios": paired,
+        "ratio": median,
+    }
 
 
 def bench_serving(
@@ -124,66 +110,31 @@ def bench_serving(
     threads: int,
     reps: int,
 ) -> Dict[str, object]:
-    """Interleaved on/off serving throughput; median of *paired* ratios.
-
-    Shared 1-CPU runners drift in steps (cgroup quota refills, noisy
-    neighbours arriving and leaving), so per-arm aggregates are biased by
-    whichever arm got more samples on the fast side of a step.  Instead
-    each rep runs both arms back-to-back (order alternating) and yields one
-    on/off ratio; steps between reps cancel inside the pair, and the
-    *median* over reps discards the pairs a step landed in the middle of.
-    """
-    samples: Dict[str, List[float]] = {"on": [], "off": []}
-    ratios: List[float] = []
+    """Paired on/off serving throughput (requests/s); median of paired ratios."""
     app = ServingApp(store, batching=True, max_batch=64, max_wait_ms=2.0)
+    connect = harness.in_process(app, endpoint)
     try:
         app.localize(endpoint, queries[0])  # untimed model load
-        for rep in range(reps):
-            # Alternate the in-pair order so warm-up bias hits both arms.
-            for arm in ("on", "off") if rep % 2 == 0 else ("off", "on"):
-                trace.set_enabled(arm == "on")
-                samples[arm].append(
-                    _drive_serving(app, endpoint, queries, threads)
-                )
-            ratios.append(samples["on"][-1] / samples["off"][-1])
+        paired = _on_off(
+            lambda: harness.replay(connect, queries, threads)["requests_per_s"],
+            reps, ratio=("on", "off"), unit="rps", digits=2,
+        )
     finally:
-        trace.set_enabled(True)
         app.close()
-    return {
-        "requests_per_rep": int(queries.shape[0]),
-        "client_threads": threads,
-        "reps": reps,
-        "telemetry_on_rps": [round(v, 2) for v in samples["on"]],
-        "telemetry_off_rps": [round(v, 2) for v in samples["off"]],
-        "paired_ratios": [round(v, 4) for v in ratios],
-        "ratio": round(statistics.median(ratios), 4),
-    }
+    return {"requests_per_rep": int(queries.shape[0]), "client_threads": threads, **paired}
 
 
 def bench_engine(spec: ExperimentSpec, reps: int) -> Dict[str, object]:
-    """Interleaved on/off cold serial engine wall time; median of *paired*
-    per-rep ratios (see ``bench_serving`` for why pairing beats per-arm
+    """Paired on/off cold serial engine wall time; median of *paired*
+    per-rep ratios (see ``_on_off`` for why pairing beats per-arm
     aggregates on step-drifting runners).  Many short pairs beat few long
     ones here: the noise decorrelates within a single run, so the pair-ratio
-    spread shrinks as 1/sqrt(reps)."""
-    samples: Dict[str, List[float]] = {"on": [], "off": []}
-    ratios: List[float] = []
-    for rep in range(reps):
-        for arm in ("on", "off") if rep % 2 == 0 else ("off", "on"):
-            trace.set_enabled(arm == "on")
-            start = time.perf_counter()
-            run_experiment(spec, cache=False)
-            samples[arm].append(time.perf_counter() - start)
-        ratios.append(samples["off"][-1] / samples["on"][-1])
-    trace.set_enabled(True)
-    return {
-        "reps": reps,
-        "telemetry_on_s": [round(v, 4) for v in samples["on"]],
-        "telemetry_off_s": [round(v, 4) for v in samples["off"]],
-        "paired_ratios": [round(v, 4) for v in ratios],
-        # Throughput-style ratio: >= 1 means tracing costs nothing.
-        "ratio": round(statistics.median(ratios), 4),
-    }
+    spread shrinks as 1/sqrt(reps).  The ratio is off/on wall time, so
+    throughput-style: >= 1 means tracing costs nothing."""
+    return _on_off(
+        lambda: harness.timed(run_experiment, spec, cache=False)[0],
+        reps, ratio=("off", "on"), unit="s", digits=4,
+    )
 
 
 def check_identity(
@@ -232,29 +183,21 @@ def check_identity(
     }
 
 
-def run_benchmark(
-    model: str = "KNN",
-    building: str = "Building 1",
-    requests: int = 4800,
-    threads: int = 4,
-    serving_reps: int = 20,
-    engine_reps: int = 50,
-    output: Optional[Path] = None,
-) -> Dict[str, object]:
-    spec = _bench_spec(model, building)
-    print(f"training {model} on {building} (quick profile) ...", flush=True)
-    service = LocalizationService.trained_on(
-        building, model=model, profile="quick", cache=False
+def measure(args: argparse.Namespace) -> Dict[str, object]:
+    model, building = args.model, args.building
+    spec = ExperimentSpec(
+        models=(model,),
+        buildings=(building,),
+        profile="quick",
+        devices=("OP3",),
+        attack_methods=("FGSM",),
+        epsilons=(0.1,),
+        phi_percents=(10.0,),
     )
-    from repro.api import PROFILES
-    from repro.eval.engine import ArtifactCache, simulate_campaign
-
-    config = PROFILES["quick"]()
-    campaign, _ = simulate_campaign(building, config, ArtifactCache.coerce(False))
-    test = campaign.test_for(config.devices[0])
-    queries = np.tile(
-        test.features, (requests // test.features.shape[0] + 1, 1)
-    )[:requests]
+    print(f"training {model} on {building} (quick profile) ...", flush=True)
+    service, _, queries = harness.served_model(
+        model, building, PROFILES["quick"](), args.requests, cache=False
+    )
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         store = ModelStore(Path(tmp) / "store")
@@ -263,27 +206,17 @@ def run_benchmark(
         _telemetry_setup(Path(tmp) / "telemetry")
         try:
             print(
-                f"serving: {serving_reps} interleaved pairs x {requests} "
-                f"requests ({threads} threads), telemetry on vs off ...",
+                f"serving: {args.serving_reps} paired reps x {args.requests} "
+                f"requests ({args.threads} threads), telemetry on vs off ...",
                 flush=True,
             )
-            serving = bench_serving(
-                store, endpoint, queries, threads, serving_reps
-            )
-            print(
-                f"  paired ratios {serving['paired_ratios']} "
-                f"(median {serving['ratio']})"
-            )
+            serving = bench_serving(store, endpoint, queries, args.threads, args.serving_reps)
 
             print(
-                f"engine: {engine_reps} interleaved cold serial pairs ...",
+                f"engine: {args.engine_reps} paired cold serial reps ...",
                 flush=True,
             )
-            engine = bench_engine(spec, engine_reps)
-            print(
-                f"  paired ratios {engine['paired_ratios']} "
-                f"(median {engine['ratio']})"
-            )
+            engine = bench_engine(spec, args.engine_reps)
 
             print("identity invariants with tracing on ...", flush=True)
             identical = check_identity(spec, service, store, endpoint, queries[:64])
@@ -291,30 +224,27 @@ def run_benchmark(
         finally:
             _telemetry_teardown()
 
-    report: Dict[str, object] = {
-        "benchmark": "obs",
-        "version": __version__,
-        "created_unix": time.time(),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
+    return {
         "model": model,
         "building": building,
         "serving": serving,
         "engine": engine,
         "identical": identical,
     }
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {output}")
-    return report
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def gate(args: argparse.Namespace, report: Dict[str, object], gates: harness.Gates) -> None:
+    gates.identity(report["identical"], "identity invariants broken with tracing on")
+    gates.at_least("min_serving_ratio", report["serving"]["ratio"], args.min_serving_ratio,
+                   "serving throughput with telemetry on/off",
+                   enabled=args.min_serving_ratio > 0)
+    gates.at_least("min_engine_ratio", report["engine"]["ratio"], args.min_engine_ratio,
+                   "cold serial engine speed with tracing on/off",
+                   enabled=args.min_engine_ratio > 0)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser("obs", __doc__)
     parser.add_argument("--model", default="KNN",
                         help="registry name of the benchmarked model")
     parser.add_argument("--building", default="Building 1")
@@ -326,46 +256,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="back-to-back on/off serving pairs")
     parser.add_argument("--engine-reps", type=int, default=50,
                         help="back-to-back on/off cold engine pairs")
-    parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_obs.json")
     parser.add_argument("--min-serving-ratio", type=float, default=0.97,
                         help="fail unless telemetry-on serving throughput "
                         "reaches this factor of telemetry-off (0 disables)")
     parser.add_argument("--min-engine-ratio", type=float, default=0.98,
                         help="fail unless the traced cold serial engine "
                         "reaches this factor of the untraced one (0 disables)")
-    args = parser.parse_args(argv)
+    return parser
 
-    report = run_benchmark(
-        model=args.model,
-        building=args.building,
-        requests=args.requests,
-        threads=args.threads,
-        serving_reps=args.serving_reps,
-        engine_reps=args.engine_reps,
-        output=args.output,
-    )
 
-    failures: List[str] = []
-    identical: Dict[str, bool] = report["identical"]  # type: ignore[assignment]
-    for invariant, held in identical.items():
-        if not held:
-            failures.append(f"identity invariant broken with tracing on: {invariant}")
-    serving_ratio = report["serving"]["ratio"]  # type: ignore[index]
-    if args.min_serving_ratio and serving_ratio < args.min_serving_ratio:
-        failures.append(
-            f"serving throughput with telemetry {serving_ratio}x < "
-            f"{args.min_serving_ratio}x gate"
-        )
-    engine_ratio = report["engine"]["ratio"]  # type: ignore[index]
-    if args.min_engine_ratio and engine_ratio < args.min_engine_ratio:
-        failures.append(
-            f"traced engine {engine_ratio}x < {args.min_engine_ratio}x gate"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print("all telemetry gates passed")
-    return 1 if failures else 0
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main("obs", build_parser(), measure, gate, argv)
 
 
 if __name__ == "__main__":

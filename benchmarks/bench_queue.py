@@ -8,32 +8,28 @@ Times the quick-profile evaluation grid under four modes:
     baseline: one process walking the whole plan with caching enabled (the
     queue always runs with the cache on, so the baseline does too).
 ``queue_1worker``
-    ``repro queue submit`` + one worker draining the run ledger.
+    ``RunLedger.submit`` + ``repro.queue.work(cache, run_id, workers=1)``:
+    one in-process worker draining the run ledger.
 ``queue_2workers``
-    The same run drained by two concurrent workers sharing the ledger —
-    full lease/heartbeat/scan machinery under real contention.
+    The same run drained by ``repro.queue.work(cache, run_id, workers=2)``:
+    two spawned worker processes sharing the ledger — the path
+    ``repro queue work --workers 2`` and ``run_experiment(jobs=2)`` take,
+    interpreter start-up included, with full lease/heartbeat/scan machinery
+    under real contention.
 ``resume``
     A run killed after half its units and drained to completion by a second
     worker — measures that resuming re-executes only the units that had not
     completed (the ledger's whole point).
 
-Workers are run as concurrent *threads* of this process: the lease files,
-scheduling scans, heartbeats and atomic state transitions they exercise are
-exactly the multi-process protocol (all coordination is through the shared
-ledger directory), but the measurement excludes Python interpreter start-up,
-which on a small quick-profile grid would otherwise dominate the comparison.
-The multi-process path itself (spawned workers, SIGKILL mid-run, restart) is
-exercised by the test suite and the CI ``queue-smoke`` job.
-
 Every mode must produce byte-identical ``ResultSet.to_records()`` output;
 the harness fails loudly if any run diverges, if the 2-worker drain is
 slower than the serial baseline (beyond ``--max-overhead``), or if the
-resumed run re-executes units that were already done.  Reps are interleaved
-(serial, 1 worker, 2 workers, serial, ...) and the overhead gate compares
-the 2-worker drain against the serial baseline *within* each matched rep,
-where machine drift on a shared box cancels; the per-rep timings and the
-paired ratios are all recorded in the report.  Results are written to
-``BENCH_queue.json`` (override with ``--output``)::
+resumed run re-executes units that were already done.  Reps are paired
+(serial, 1 worker, 2 workers, then the reverse, ...) and the overhead gate
+compares the 2-worker drain against the serial baseline *within* each
+matched rep, where machine drift on a shared box cancels; the per-rep
+timings and the paired ratios are all recorded in the report.  Results are
+written to ``BENCH_queue.json`` (override with ``--output``)::
 
     python benchmarks/bench_queue.py
     python benchmarks/bench_queue.py --models KNN DNN --reps 5
@@ -42,49 +38,16 @@ paired ratios are all recorded in the report.  Results are written to
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow running without installing
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness  # first: puts src/ on sys.path
+from repro.api import PROFILES, ExperimentSpec, run_experiment
+from repro.eval.engine import ArtifactCache
+from repro.queue import QueueWorker, RunLedger, WorkerOptions, collect_results, work
 
-from repro import __version__  # noqa: E402
-from repro.api import PROFILES, ExperimentSpec, run_experiment  # noqa: E402
-from repro.eval.engine import ArtifactCache  # noqa: E402
-from repro.queue import (  # noqa: E402
-    QueueWorker,
-    RunLedger,
-    WorkerOptions,
-    collect_results,
-)
-
-DEFAULT_MODELS = ("KNN", "DNN", "AdvLoc", "WiDeep")
 OPTIONS = WorkerOptions(poll_s=0.02)
-
-
-def _drain(
-    cache: ArtifactCache, spec: ExperimentSpec, workers: int
-) -> Tuple[float, List[dict], List[int]]:
-    """Submit ``spec`` and drain it with ``workers`` concurrent workers."""
-    ledger = RunLedger.submit(spec, cache)
-    pool = [QueueWorker(ledger, f"bench:{i}", OPTIONS) for i in range(workers)]
-    threads = [threading.Thread(target=worker.run) for worker in pool]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    records = collect_results(ledger).to_records()
-    return elapsed, records, [worker.executed for worker in pool]
 
 
 def _bench_resume(spec: ExperimentSpec) -> Dict[str, object]:
@@ -102,9 +65,7 @@ def _bench_resume(spec: ExperimentSpec) -> Dict[str, object]:
             1 for s in ledger.states().values() if s.state == "done"
         )
         second = QueueWorker(ledger, "bench:resume", OPTIONS)
-        start = time.perf_counter()
-        complete = second.run()
-        elapsed = time.perf_counter() - start
+        elapsed, complete = harness.timed(second.run)
         records = collect_results(ledger).to_records()
         return {
             "units_total": total,
@@ -116,68 +77,51 @@ def _bench_resume(spec: ExperimentSpec) -> Dict[str, object]:
         }
 
 
-def run_benchmark(
-    models: Sequence[str] = DEFAULT_MODELS,
-    profile: str = "quick",
-    reps: int = 3,
-    output: Optional[Path] = None,
-) -> Dict[str, object]:
-    """Execute the benchmark modes and return the report dictionary."""
-    if profile not in PROFILES:
-        raise SystemExit(
-            f"unknown profile '{profile}'; expected one of {sorted(PROFILES)}"
-        )
-    spec = ExperimentSpec(models=tuple(models), profile=profile, name="bench_queue")
+def measure(args: argparse.Namespace) -> Dict[str, object]:
+    """Execute the benchmark modes and return the report sections."""
+    spec = ExperimentSpec(models=tuple(args.models), profile=args.profile, name="bench_queue")
     spec.validate()
     stages = spec.resolve_plan().stage_counts()
+    reps = args.reps
     print(
         f"plan: {sum(stages.values())} units "
         f"({', '.join(f'{v} {k}' for k, v in stages.items() if v)}), "
-        f"best of {reps} reps per mode"
+        f"{reps} paired reps per mode"
     )
 
-    timings: Dict[str, float] = {}
-    rep_timings: Dict[str, List[float]] = {}
-    records: Dict[str, List[dict]] = {}
-    executed: Dict[str, List[int]] = {}
+    records: Dict[str, List[List[dict]]] = {}
 
-    def serial_run() -> Tuple[float, List[dict], List[int]]:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-queue-") as root:
-            start = time.perf_counter()
-            results = run_experiment(spec, jobs=1, cache=Path(root) / "cache")
-            return time.perf_counter() - start, results.to_records(), []
+    def arm(mode: str, workers: int) -> Callable[[], float]:
+        """A fresh-cache serial run (``workers=0``) or ``workers``-worker drain."""
 
-    def queue_run(workers: int):
-        def runner() -> Tuple[float, List[dict], List[int]]:
+        def sample() -> float:
             with tempfile.TemporaryDirectory(prefix="repro-bench-queue-") as root:
-                return _drain(ArtifactCache(Path(root) / "cache"), spec, workers)
+                cache = ArtifactCache(Path(root) / "cache")
+                if workers == 0:
+                    elapsed, results = harness.timed(run_experiment, spec, jobs=1, cache=cache)
+                else:
+                    ledger = RunLedger.submit(spec, cache)
+                    elapsed, _ = harness.timed(
+                        work, cache, ledger.run_id, workers=workers, options=OPTIONS
+                    )
+                    results = collect_results(ledger)
+                records.setdefault(mode, []).append(results.to_records())
+            print(f"  rep {len(records[mode])}/{reps} {mode}: {elapsed:.2f}s", flush=True)
+            return elapsed
 
-        return runner
+        return sample
 
-    modes = {
-        "serial": serial_run,
-        "queue_1worker": queue_run(1),
-        "queue_2workers": queue_run(2),
-    }
-    # Reps are interleaved across modes (serial, 1w, 2w, serial, ...) so slow
-    # drift of a shared machine lands on every mode equally instead of
-    # penalising whichever block ran during the noisy stretch.  Each rep is
-    # therefore a *matched* serial/queue pair measured under the same machine
-    # conditions — the overhead gate compares within reps, where drift
-    # cancels, rather than across the whole (noisy) run.
-    for rep in range(reps):
-        for mode, runner in modes.items():
-            elapsed, rows, counts = runner()
-            rep_timings.setdefault(mode, []).append(elapsed)
-            if elapsed < timings.get(mode, float("inf")):
-                timings[mode], records[mode], executed[mode] = elapsed, rows, counts
-            print(f"  rep {rep + 1}/{reps} {mode}: {elapsed:.2f}s", flush=True)
+    modes = {"serial": 0, "queue_1worker": 1, "queue_2workers": 2}
+    run = harness.paired(
+        {mode: arm(mode, workers) for mode, workers in modes.items()},
+        reps,
+        ratio=("queue_2workers", "serial"),
+    )
+    rep_timings: Dict[str, List[float]] = run["samples"]
+    timings = {mode: min(values) for mode, values in rep_timings.items()}
+    paired = [round(ratio, 4) for ratio in run["ratios"]]
     for mode in modes:
-        print(f"  {mode}: best {timings[mode]:.2f}s (executed {executed[mode]})")
-    paired = [
-        round(two / serial, 4)
-        for two, serial in zip(rep_timings["queue_2workers"], rep_timings["serial"])
-    ]
+        print(f"  {mode}: best {timings[mode]:.2f}s")
     print(f"  paired 2-worker/serial ratios per rep: {paired} (best {min(paired)})")
     print("resume (killed at half, drained by a second worker) ...", flush=True)
     resume = _bench_resume(spec)
@@ -188,27 +132,24 @@ def run_benchmark(
         f"{resume['units_total']} total"
     )
 
-    reference = records["serial"]
+    reference = records["serial"][0]
     identical = {
-        mode: rows == reference for mode, rows in records.items() if mode != "serial"
+        mode: all(rows == reference for rows in runs) for mode, runs in records.items()
     }
     identical["resume"] = resume_records == reference
     speedups = {
         "queue_1worker_vs_serial": timings["serial"] / max(timings["queue_1worker"], 1e-9),
         "queue_2workers_vs_serial": timings["serial"] / max(timings["queue_2workers"], 1e-9),
     }
-    report: Dict[str, object] = {
-        "benchmark": "queue",
-        "version": __version__,
-        "created_unix": time.time(),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
-        "profile": profile,
-        "models": list(models),
-        "workers": "threads (shared-ledger protocol; excludes interpreter startup)",
+    print(
+        f"speedups vs serial: 1 worker {speedups['queue_1worker_vs_serial']:.2f}x, "
+        f"2 workers {speedups['queue_2workers_vs_serial']:.2f}x"
+    )
+    return {
+        "profile": args.profile,
+        "models": list(args.models),
+        "workers": "queue_1worker in-process; queue_2workers spawned processes "
+        "(repro.queue.work, interpreter start-up included)",
         "reps": reps,
         "plan": stages,
         "timings_s": {mode: round(value, 4) for mode, value in timings.items()},
@@ -224,57 +165,39 @@ def run_benchmark(
         "identical": identical,
         "resume": resume,
     }
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {output}")
-    print(
-        f"speedups vs serial: 1 worker {speedups['queue_1worker_vs_serial']:.2f}x, "
-        f"2 workers {speedups['queue_2workers_vs_serial']:.2f}x"
+
+
+def gate(args: argparse.Namespace, report: Dict[str, object], gates: harness.Gates) -> None:
+    gates.identity(report["identical"], "results diverged from serial in")
+    resume = report["resume"]
+    reexecuted = resume["units_reexecuted_on_resume"]
+    expected = resume["units_total"] - resume["units_done_before_resume"]
+    gates.check(
+        "resume", reexecuted, expected, reexecuted == expected,
+        f"resume re-executed {reexecuted} units, "
+        f"expected exactly the {expected} not completed before the kill",
     )
-    return report
+    gates.at_most("max_overhead", report["paired_overhead"]["best"], args.max_overhead,
+                  "best paired 2-worker/serial wall-clock ratio", enabled=args.max_overhead > 0)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--models", nargs="+", default=list(DEFAULT_MODELS),
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser("queue", __doc__)
+    parser.add_argument("--models", nargs="+", default=["KNN", "DNN", "AdvLoc", "WiDeep"],
                         help="registry names of the models in the grid")
     parser.add_argument("--profile", default="quick", choices=sorted(PROFILES))
     parser.add_argument("--reps", type=int, default=5,
-                        help="repetitions per timed mode (best-of, interleaved)")
-    parser.add_argument("--output", type=Path, default=REPO_ROOT / "BENCH_queue.json")
+                        help="paired repetitions per timed mode (best-of)")
     parser.add_argument("--max-overhead", type=float, default=1.0,
                         help="fail when the best matched-rep ratio of "
                         "queue_2workers to serial wall-clock exceeds this "
                         "factor (0 disables the gate)")
-    args = parser.parse_args(argv)
+    return parser
 
-    # Two CPU-bound worker threads thrash the GIL at CPython's default 5 ms
-    # switch interval; a longer interval keeps the 2-worker timing about
-    # queue overhead rather than context-switch overhead.
-    sys.setswitchinterval(0.05)
-    report = run_benchmark(args.models, args.profile, args.reps, args.output)
-    failures = []
-    if not all(report["identical"].values()):
-        diverged = [mode for mode, same in report["identical"].items() if not same]
-        failures.append(f"results diverged from serial in: {diverged}")
-    resume = report["resume"]
-    expected = resume["units_total"] - resume["units_done_before_resume"]
-    if resume["units_reexecuted_on_resume"] != expected:
-        failures.append(
-            f"resume re-executed {resume['units_reexecuted_on_resume']} units, "
-            f"expected exactly the {expected} not completed before the kill"
-        )
-    best_paired = report["paired_overhead"]["best"]
-    if args.max_overhead > 0 and best_paired > args.max_overhead:
-        failures.append(
-            f"2-worker drain exceeded serial in every matched rep "
-            f"(best paired ratio {best_paired:.3f} > {args.max_overhead:.2f})"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main("queue", build_parser(), measure, gate, argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

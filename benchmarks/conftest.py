@@ -6,8 +6,11 @@ grid, coarser reference-point granularity) so the full suite completes in
 minutes on a laptop.  To reproduce the paper-scale grid, switch the fixture
 to ``EvaluationConfig.full()`` and expect a multi-hour run.
 
-The rendered text of every artefact is written to ``benchmarks/results/`` so
-the numbers behind EXPERIMENTS.md can be inspected after a run.
+The rendered text of every artefact is written to
+``benchmarks/results/<name>.txt`` so its numbers can be inspected after a
+run.  The figure benchmarks share one artefact cache for the session, so each
+distinct campaign and model is built once per run; their pytest-benchmark
+timings are therefore not cold regenerations.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval import EvaluationConfig
+from repro.eval.engine import ArtifactCache
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -25,6 +29,12 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def eval_config() -> EvaluationConfig:
     """Evaluation profile used by all figure benchmarks."""
     return EvaluationConfig.quick()
+
+
+@pytest.fixture(scope="session")
+def artifact_cache(tmp_path_factory) -> ArtifactCache:
+    """One artefact cache shared by every figure benchmark of the session."""
+    return ArtifactCache(tmp_path_factory.mktemp("artifact-cache"))
 
 
 @pytest.fixture(scope="session")

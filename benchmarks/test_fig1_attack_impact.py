@@ -10,9 +10,12 @@ from __future__ import annotations
 from repro.eval import fig1_attack_impact
 
 
-def test_fig1_attack_impact(benchmark, eval_config, save_artefact):
+def test_fig1_attack_impact(benchmark, eval_config, save_artefact, artifact_cache):
     result = benchmark.pedantic(
-        fig1_attack_impact, kwargs={"config": eval_config}, rounds=1, iterations=1
+        fig1_attack_impact,
+        kwargs={"config": eval_config, "cache": artifact_cache},
+        rounds=1,
+        iterations=1,
     )
     save_artefact("fig1_attack_impact", result["text"])
 

@@ -12,9 +12,12 @@ import numpy as np
 from repro.eval import fig4_heatmaps
 
 
-def test_fig4_heatmaps(benchmark, eval_config, save_artefact):
+def test_fig4_heatmaps(benchmark, eval_config, save_artefact, artifact_cache):
     result = benchmark.pedantic(
-        fig4_heatmaps, kwargs={"config": eval_config}, rounds=1, iterations=1
+        fig4_heatmaps,
+        kwargs={"config": eval_config, "cache": artifact_cache},
+        rounds=1,
+        iterations=1,
     )
     save_artefact("fig4_heatmaps", result["text"])
 

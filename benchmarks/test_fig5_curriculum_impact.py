@@ -3,8 +3,8 @@
 Paper shape: the curriculum-trained model (CALLOC) keeps lower errors than the
 no-curriculum variant (NC), with the gap most visible as adversarial pressure
 grows.  The reproduction measures both variants over the same attack grid and
-asserts the aggregate ordering (see EXPERIMENTS.md for the measured gap, which
-is smaller than the paper reports).
+asserts the aggregate ordering (see ``benchmarks/results/fig5_curriculum_impact.txt``
+for the measured gap, which is smaller than the paper reports).
 """
 
 from __future__ import annotations
@@ -14,9 +14,12 @@ import numpy as np
 from repro.eval import fig5_curriculum
 
 
-def test_fig5_curriculum_impact(benchmark, eval_config, save_artefact):
+def test_fig5_curriculum_impact(benchmark, eval_config, save_artefact, artifact_cache):
     result = benchmark.pedantic(
-        fig5_curriculum, kwargs={"config": eval_config}, rounds=1, iterations=1
+        fig5_curriculum,
+        kwargs={"config": eval_config, "cache": artifact_cache},
+        rounds=1,
+        iterations=1,
     )
     save_artefact("fig5_curriculum_impact", result["text"])
 

@@ -12,9 +12,12 @@ import numpy as np
 from repro.eval import fig7_phi_sweep
 
 
-def test_fig7_phi_sweep(benchmark, eval_config, save_artefact):
+def test_fig7_phi_sweep(benchmark, eval_config, save_artefact, artifact_cache):
     result = benchmark.pedantic(
-        fig7_phi_sweep, kwargs={"config": eval_config}, rounds=1, iterations=1
+        fig7_phi_sweep,
+        kwargs={"config": eval_config, "cache": artifact_cache},
+        rounds=1,
+        iterations=1,
     )
     save_artefact("fig7_phi_sweep", result["text"])
 
