@@ -18,12 +18,13 @@ every tree over a block of rows together; boosting itself never predicts, as
 growing a tree records the leaf value of every training row.
 
 The split search makes the choices of a per-feature, per-threshold scan, bit
-for bit.  One ``np.quantile(..., axis=0)`` call gives every candidate
-column's cut points, and one mask tensor counts both sides of every
-(feature, threshold) pair.  The candidates that can still win are then scored
-in (feature, ascending threshold) order with per-candidate ``.sum()`` calls
-and a strict ``gain > best_gain`` test.  The sums stay per candidate because
-no vectorised reduction reproduces numpy's pairwise rounding: in the first
+for bit.  One sort of the candidate columns gives every column's cut points
+through numpy's own ``linear`` quantile arithmetic (:func:`_quantiles`), and
+one mask tensor counts both sides of every (feature, threshold) pair.  The
+candidates that can still win are then scored in (feature, ascending
+threshold) order with per-candidate ``.sum()`` calls and a strict
+``gain > best_gain`` test.  The sums stay per candidate because no
+vectorised reduction reproduces numpy's pairwise rounding: in the first
 boosting round residuals take two values, so partitions tie in exact
 arithmetic and rounding picks the winner.  A vectorised estimate with a
 rounding-error bound only rules out the candidates that cannot win.
@@ -63,6 +64,34 @@ def _stack(tables: Sequence[_Nodes]) -> Tuple[_Nodes, np.ndarray]:
         np.concatenate([table.value for table in tables]),
     )
     return nodes, roots
+
+
+def _quantiles(columns: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """``np.quantile(columns, quantiles, axis=0)`` without its Python set-up.
+
+    numpy's ``linear`` method step by step: the virtual index
+    ``(n - 1) * q``, its floor and the next row (both the last row from
+    ``n - 1`` on), ``gamma`` = the index minus that floor row, and
+    ``_lerp``'s two formulas, the second where ``gamma >= 0.5``.  The rows
+    come from one sort where numpy partitions, so the values are the same;
+    only a column holding both -0.0 and 0.0 may give a zero of the other
+    sign, which no ``<=`` test tells apart.  A column with a NaN gives NaN.
+    """
+    count = columns.shape[0]
+    virtual = (count - 1) * quantiles
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= count - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = (virtual - below)[:, None]
+    ordered = np.sort(columns, axis=0)
+    low, high = ordered[below], ordered[above]
+    step = high - low
+    cuts = low + step * gamma
+    np.subtract(high, step * (1 - gamma), out=cuts, where=gamma >= 0.5)
+    np.copyto(cuts, ordered[-1], where=np.isnan(ordered[-1]))
+    return cuts
 
 
 def _walk(nodes: _Nodes, roots: np.ndarray, depth: int, features: np.ndarray) -> np.ndarray:
@@ -172,7 +201,7 @@ class DecisionTreeRegressor:
             candidate_features = np.arange(num_features)
         columns = features[:, candidate_features]
         # (features, thresholds): each candidate column's cut points, ascending.
-        cuts = np.sort(np.quantile(columns, quantiles, axis=0), axis=0).T
+        cuts = np.sort(_quantiles(columns, quantiles), axis=0).T
         # (features, thresholds, rows): the left side of every candidate.
         left = columns.T[:, None, :] <= cuts[:, :, None]
         left_counts = left.sum(axis=2)

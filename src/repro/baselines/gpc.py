@@ -12,7 +12,6 @@ scans directly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
@@ -49,6 +48,10 @@ class GaussianProcessLocalizer(Localizer):
 
     # ------------------------------------------------------------------
     def fit(self, dataset: FingerprintDataset) -> "GaussianProcessLocalizer":
+        # Imported here, not at module level: resolving any localizer loads
+        # this module, and scipy is ~0.24 s and ~20 MB that only a fit needs.
+        from scipy.linalg import cho_factor, cho_solve
+
         features = dataset.features
         labels = dataset.labels
         self._num_classes = dataset.num_classes

@@ -221,6 +221,57 @@ tree_inputs = st.fixed_dictionaries(
 
 
 # ----------------------------------------------------------------------
+# Cut points
+# ----------------------------------------------------------------------
+def _columns(rng, rows, columns, kind):
+    if kind == "ties":
+        return rng.integers(0, 3, size=(rows, columns)).astype(np.float64)
+    if kind == "constant":
+        return np.repeat(rng.normal(size=(1, columns)), rows, axis=0)
+    if kind == "signed-zeros":
+        return rng.choice(np.array([-0.0, 0.0, -1.0, 1.0]), size=(rows, columns))
+    values = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-150, 150)
+    if kind == "nan":
+        values[rng.random((rows, columns)) < 0.1] = np.nan
+    return values
+
+
+quantile_inputs = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**16),
+        "rows": st.integers(1, 110),
+        "columns": st.integers(1, 16),
+        "kind": st.sampled_from(["continuous", "ties", "constant", "signed-zeros", "nan"]),
+        "quantiles": st.one_of(
+            st.integers(1, 9).map(lambda count: list(np.linspace(0.1, 0.9, count))),
+            st.lists(
+                st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                min_size=1,
+                max_size=9,
+            ),
+        ),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantile_inputs)
+def test_cut_points_are_numpys_quantiles(case):
+    rng = np.random.default_rng(case["seed"])
+    columns = _columns(rng, case["rows"], case["columns"], case["kind"])
+    quantiles = np.asarray(case["quantiles"], dtype=np.float64)
+    got = gbdt._quantiles(columns, quantiles)
+    want = np.quantile(columns, quantiles, axis=0)
+    # A sort and numpy's partition may put different ones of two equal
+    # zeros at a position: a column holding both -0.0 and 0.0 may then give
+    # a zero cut of the other sign (no split can tell).  Otherwise: bits.
+    assert _identical(got + 0.0, want + 0.0)
+    zeros = columns == 0.0
+    mixed = (zeros & np.signbit(columns)).any(axis=0) & (zeros & ~np.signbit(columns)).any(axis=0)
+    assert _identical(got[:, ~mixed], want[:, ~mixed])
+
+
+# ----------------------------------------------------------------------
 # Trees
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,8 @@ exact same code paths as the paper-scale buildings.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.data import (
     build_building,
     collect_campaign,
 )
+from repro.spawn import BLAS_THREAD_VARIABLES, blas_threads, set_blas_threads
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +82,23 @@ def trained_calloc(tiny_campaign: LocalizationCampaign) -> CALLOC:
 def rng() -> np.random.Generator:
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def _undo_the_cli_blas_rule():
+    """Undo the one-thread BLAS rule an in-process ``main()`` applies.
+
+    ``repro.reproduce.main`` caps this whole process's BLAS pool and sets
+    the thread variables; restoring both keeps every test independent of
+    which tests ran before it.
+    """
+    environment = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    threads = blas_threads()
+    yield
+    for name, value in environment.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+    if threads is not None and blas_threads() != threads:
+        set_blas_threads(threads)
