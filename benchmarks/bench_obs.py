@@ -111,7 +111,7 @@ def bench_serving(
     reps: int,
 ) -> Dict[str, object]:
     """Paired on/off serving throughput (requests/s); median of paired ratios."""
-    app = ServingApp(store, batching=True, max_batch=64, max_wait_ms=2.0)
+    app = ServingApp(store, batching=True, max_batch=64)
     connect = harness.in_process(app, endpoint)
     try:
         app.localize(endpoint, queries[0])  # untimed model load
@@ -167,7 +167,7 @@ def check_identity(
             ).to_records()
 
         direct = service.localize(queries)
-        with AioServerThread(store, max_batch=64, max_wait_ms=2.0) as server:
+        with AioServerThread(store, max_batch=64) as server:
             with ServiceClient(server.base_url) as client:
                 via_http = client.localize(queries, model=endpoint)
     finally:

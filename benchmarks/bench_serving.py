@@ -10,7 +10,7 @@ gateway routing, per-endpoint stats — under the two serving modes:
 ``micro_batched``
     Requests from concurrent callers queue in the endpoint's
     :class:`~repro.serve.batching.MicroBatcher` and are flushed as one
-    batched ``localize`` call (``--max-batch`` / ``--max-wait-ms`` knobs):
+    batched ``localize`` call of at most ``--max-batch`` fingerprints:
     the throughput-optimal path.
 
 Both modes replay the same stream of single-fingerprint requests from
@@ -94,7 +94,7 @@ def run_http_benchmark(
     aio_bodies = [("http_aio_json", CONTENT_JSON), ("http_aio_binary", CONTENT_NDARRAY)]
     if msgpack_available():
         aio_bodies.append(("http_aio_msgpack", CONTENT_MSGPACK))
-    with AioServerThread(store, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms) as aio:
+    with AioServerThread(store, max_batch=args.max_batch) as aio:
         for mode, content_type in aio_bodies:
             print(f"{mode} (asyncio front end, {content_type}) ...", flush=True)
             connect = _over_http(aio.base_url, endpoint, content_type)
@@ -113,7 +113,6 @@ def run_http_benchmark(
             port=0,
             workers=workers,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
         ) as supervisor:
             supervisor.wait_until_ready(timeout=120.0)
             base_url = f"http://127.0.0.1:{supervisor.port}"
@@ -151,12 +150,10 @@ def measure(args: argparse.Namespace) -> Dict[str, object]:
         modes: Dict[str, Dict[str, object]] = {}
         for mode, batching, note in (
             ("per_request", False, "batching off"),
-            ("micro_batched", True, f"max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms"),
+            ("micro_batched", True, f"max_batch={args.max_batch}"),
         ):
             print(f"{mode:<13} ({note}) ...", flush=True)
-            app = ServingApp(
-                store, batching=batching, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-            )
+            app = ServingApp(store, batching=batching, max_batch=args.max_batch)
             modes[mode] = harness.replay(harness.in_process(app, endpoint), queries, threads)
             if batching:
                 batch_stats = app.batcher_for(endpoint).stats.as_dict()
@@ -199,7 +196,6 @@ def measure(args: argparse.Namespace) -> Dict[str, object]:
         "client_threads": threads,
         "micro_batching": {
             "max_batch": args.max_batch,
-            "max_wait_ms": args.max_wait_ms,
             **batch_stats,
         },
         "modes": modes,
@@ -246,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=32,
                         help="concurrent client threads")
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk artefact cache when training")
     parser.add_argument("--min-speedup", type=float, default=2.0,

@@ -87,7 +87,7 @@ from .registry import (
 from .queue import QueueWorker, RunLedger, WorkerOptions, collect_results
 from .serve import Gateway, MicroBatcher, ModelStore, ServiceClient
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "CALLOC",

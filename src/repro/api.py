@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data.fingerprint import FingerprintDataset
+from .data.fingerprint import FingerprintDataset, require_finite
 from .defenses.base import Defense, DefenseSpec, GuardRejectedError
 from .eval.robustness import ScenarioSpec
 from .eval.runner import ResultSet
@@ -720,14 +720,7 @@ class LocalizationService:
                 f"fingerprints have {features.shape[1]} APs but "
                 f"'{self.model_name}' was fitted on {self._num_aps}"
             )
-        # A NaN row would otherwise come back as RP 0 (argmax of all-NaN
-        # scores) with a null error estimate.
-        non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
-        if non_finite.size:
-            raise ValueError(
-                f"{non_finite.size} fingerprint(s) hold NaN or infinite readings "
-                f"(rows {non_finite[:8].tolist()}{'…' if non_finite.size > 8 else ''})"
-            )
+        require_finite(features)
         guard_flags: Optional[np.ndarray] = None
         if self.guard is not None:
             if features.shape[0] == 0:

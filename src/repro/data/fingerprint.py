@@ -24,6 +24,7 @@ from .propagation import RSS_CEIL_DBM, RSS_FLOOR_DBM
 __all__ = [
     "normalize_rss",
     "denormalize_rss",
+    "require_finite",
     "FingerprintDataset",
     "train_test_summary",
 ]
@@ -41,6 +42,18 @@ def denormalize_rss(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     span = RSS_CEIL_DBM - RSS_FLOOR_DBM
     return np.clip(features, 0.0, 1.0) * span + RSS_FLOOR_DBM
+
+
+def require_finite(features: np.ndarray) -> None:
+    """Raise :class:`ValueError` naming the rows of a 2-D batch that hold a
+    NaN or infinite reading (a NaN row would otherwise score as RP 0, the
+    argmax of all-NaN scores, with a null error estimate)."""
+    non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if non_finite.size:
+        raise ValueError(
+            f"{non_finite.size} fingerprint(s) hold NaN or infinite readings "
+            f"(rows {non_finite[:8].tolist()}{'…' if non_finite.size > 8 else ''})"
+        )
 
 
 @dataclass

@@ -14,8 +14,9 @@ Crash safety follows the :mod:`repro.atomic` discipline adapted to appends
 (an append can't go through temp-file + ``os.replace`` — that would rewrite
 the whole segment per event):
 
-* each record is **one** ``write`` of a complete line, flushed to the OS
-  immediately — a SIGKILL'd writer loses nothing already appended;
+* every ``write`` holds whole lines only (one per :meth:`EventLog.append`,
+  one per segment for the batch of a sink's drain pass) and goes to the OS
+  at once — a SIGKILL'd writer loses nothing already appended;
 * ``fsync`` is batched (at most every ``fsync_interval_s``, and always on
   rotation/close), bounding what a *power* failure can lose without paying
   a disk round-trip per event;
@@ -47,7 +48,6 @@ __all__ = [
     "configured_sink",
     "default_telemetry_dir",
     "emit",
-    "emit_span",
     "read_events",
     "segment_paths",
     "tail",
@@ -136,19 +136,35 @@ class EventLog:
     # -- writing --------------------------------------------------------
     def append(self, record: Dict[str, Any]) -> None:
         """Append one event record (a JSON-serialisable dict) durably."""
-        line = json.dumps(record, separators=(",", ":"), default=_json_default)
-        payload = line.encode("utf-8") + b"\n"
+        self.append_lines([_encode_line(record)])
+
+    def append_lines(self, lines: List[bytes]) -> None:
+        """Append encoded records (see :func:`_encode_line`) in as few writes
+        as rotation allows: one per segment they land in."""
         with self._lock:
             if self._stream is None:
                 self._open_segment()
-            elif self._size and self._size + len(payload) > self.max_segment_bytes:
-                self._rotate()
-            self._stream.write(payload)  # unbuffered: this IS the syscall
-            self._size += len(payload)
+            chunk: List[bytes] = []
+            size = self._size
+            for line in lines:
+                if size and size + len(line) > self.max_segment_bytes:
+                    self._write(chunk)
+                    chunk = []
+                    self._rotate()
+                    size = self._size
+                chunk.append(line)
+                size += len(line)
+            self._write(chunk)
             now = time.monotonic()
             if now - self._last_fsync >= self.fsync_interval_s:
                 os.fsync(self._stream.fileno())
                 self._last_fsync = now
+
+    def _write(self, chunk: List[bytes]) -> None:
+        if chunk:
+            payload = b"".join(chunk)
+            self._stream.write(payload)  # unbuffered: this IS the syscall
+            self._size += len(payload)
 
     def close(self) -> None:
         with self._lock:
@@ -175,6 +191,16 @@ def _json_default(value: Any) -> Any:
     except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
         pass
     return repr(value)
+
+
+#: One compact encoder for every record: ``json.dumps`` with keyword
+#: arguments builds a fresh ``JSONEncoder`` per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_default)
+
+
+def _encode_line(record: Dict[str, Any]) -> bytes:
+    """One record as a compact JSON line, newline included."""
+    return _ENCODER.encode(record).encode("utf-8") + b"\n"
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +322,7 @@ class EventSink:
         self.drain_interval_s = float(drain_interval_s)
         self._max_pending = int(max_pending)
         self._queue: "deque" = deque(maxlen=self._max_pending)
+        self._pid = os.getpid()
         self._wakeup = threading.Event()
         self._passes = 0
         self._closed = False
@@ -312,10 +339,32 @@ class EventSink:
             # input to computation.
             # repro-lint: allow[R1] telemetry timestamp, observational only
             "ts": time.time(),
-            "pid": os.getpid(),
+            "pid": self._pid,
             "kind": kind,
         }
         record.update(fields)
+        self._enqueue(record)
+
+    def export_span(self, finished: "trace.Span") -> None:
+        """Trace exporter (see :func:`configure_sink`): one finished span
+        as a ``span`` event, stamped with the span's end."""
+        if self._closed:
+            return
+        self._enqueue({
+            "ts": finished.start_unix + (finished.duration_s or 0.0),
+            "pid": self._pid,
+            "kind": "span",
+            "name": finished.name,
+            "trace_id": finished.trace_id,
+            "span_id": finished.span_id,
+            "parent_id": finished.parent_id,
+            "start_unix": finished.start_unix,
+            "duration_s": finished.duration_s,
+            "status": finished.status,
+            "attrs": dict(finished.attrs),
+        })
+
+    def _enqueue(self, record: Dict[str, Any]) -> None:
         if len(self._queue) == self._max_pending:
             # ``maxlen`` makes the append below evict the oldest record;
             # the count is advisory (benign race), the bound is exact.
@@ -327,17 +376,26 @@ class EventSink:
         while True:
             self._wakeup.wait(self.drain_interval_s)
             self._wakeup.clear()
+            # One pass takes what is queued and appends it in one write per
+            # segment: a write per record would hand the GIL back and forth
+            # once per record with the threads being observed.
+            lines: List[bytes] = []
             while True:
                 try:
                     record = queue.popleft()
                 except IndexError:
                     break
                 try:
-                    self.log.append(record)
+                    lines.append(_encode_line(record))
                 except Exception:
                     # Telemetry must observe, never break (or die) — count
                     # the loss and keep draining.
                     self.dropped += 1
+            if lines:
+                try:
+                    self.log.append_lines(lines)
+                except Exception:
+                    self.dropped += len(lines)
             self._passes += 1
             if self._closed and not queue:
                 return
@@ -378,19 +436,23 @@ def configure_sink(root: Optional[Path], **log_kwargs: Any) -> Optional[EventSin
     """Install (or, with ``None``, remove) the process-global event sink.
 
     The sink is what makes spans/events durable; without one, ``emit`` is a
-    no-op and tracing stays purely in-memory (metrics only).  CLI entry
-    points configure it under the active cache directory.
+    no-op and tracing stays purely in-memory (metrics only).  While
+    configured, the sink is a trace exporter, so every finished span
+    becomes a ``span`` event.  CLI entry points configure it under the
+    active cache directory.
     """
     global _SINK
     with _SINK_LOCK:
         previous, _SINK = _SINK, None
     if previous is not None:
+        trace.remove_exporter(previous.export_span)
         previous.close()
     if root is None:
         return None
     sink = EventSink(Path(root), **log_kwargs)
     with _SINK_LOCK:
         _SINK = sink
+    trace.add_exporter(sink.export_span)
     return sink
 
 
@@ -410,15 +472,4 @@ def emit(kind: str, **fields: Any) -> None:
         sink.emit(kind, **fields)
     except Exception:
         # Telemetry must observe, never break the instrumented work.
-        pass
-
-
-def emit_span(finished: "trace.Span") -> None:
-    """Export one finished span as a durable ``span`` event."""
-    sink = configured_sink()
-    if sink is None:
-        return
-    try:
-        sink.emit("span", **finished.as_dict())
-    except Exception:
         pass

@@ -28,6 +28,8 @@ Design points:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -115,27 +117,26 @@ class HistogramSeries(_Series):
     def __init__(self, lock: threading.Lock, buckets: Tuple[float, ...]) -> None:
         super().__init__(lock)
         self.buckets = buckets
-        self._counts = [0] * len(buckets)
+        #: Observations per bucket: ``_counts[i]`` holds the values in
+        #: ``(buckets[i-1], buckets[i]]``; the last slot holds the rest.
+        self._counts = [0] * (len(buckets) + 1)
         self.count = 0
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
         value = float(value)
+        # The first bound that covers the value; NaN is covered by none.
+        index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             self.count += 1
             self.sum += value
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[index] += 1
+            self._counts[index] += 1
 
     def bucket_counts(self) -> List[int]:
-        """Cumulative counts per bucket boundary (excluding ``+Inf``).
-
-        ``observe`` increments every bucket whose bound covers the value, so
-        each entry is already the cumulative ``le`` count Prometheus expects.
-        """
+        """Cumulative counts per bucket boundary (excluding ``+Inf``): the
+        ``le`` counts Prometheus expects."""
         with self._lock:
-            return list(self._counts)
+            return list(accumulate(self._counts[:-1]))
 
 
 class Metric:

@@ -20,10 +20,13 @@ consuming side re-enters it with :func:`attach` — see
 Cost model: when tracing is disabled (``REPRO_TELEMETRY=0`` /
 ``--no-telemetry`` / :func:`set_enabled`), :func:`span` returns a shared
 no-op context manager — no object allocation, no clock reads, no context
-switch.  When enabled, a finished span increments
-``repro_spans_total{name=}`` and observes ``repro_span_seconds{name=}``
-in the default registry, and is exported to the durable event sink (if
-one is configured — see :mod:`repro.obs.events`).
+switch.  When enabled, a span is one object that is its own context
+manager; when it finishes it increments ``repro_spans_total{name=}``,
+observes ``repro_span_seconds{name=}`` in the default registry, and goes
+to every exporter — the durable event sink registers itself as one while
+it is configured (see :mod:`repro.obs.events`).  The serving path
+finishes one span per micro-batch flush, thousands a second under load, so
+nothing on this path takes a lock except the two metric updates.
 
 Determinism: spans read the monotonic clock for durations and a wall
 timestamp for event records, and never touch any RNG — tracing cannot
@@ -38,7 +41,7 @@ import os
 import threading
 import time
 from contextvars import ContextVar
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .metrics import REGISTRY
 
@@ -63,8 +66,10 @@ _ENABLED_OVERRIDE: Optional[bool] = None
 _SEQ = itertools.count(1)
 _CURRENT: ContextVar[Optional["Span"]] = ContextVar("repro_obs_span", default=None)
 
+#: Finished-span callbacks.  Copy-on-write under the lock, so ``_finish``
+#: iterates the current tuple without taking it.
 _EXPORTERS_LOCK = threading.Lock()
-_EXPORTERS: List[Callable[["Span"], None]] = []
+_EXPORTERS: Tuple[Callable[["Span"], None], ...] = ()
 
 
 def telemetry_enabled() -> bool:
@@ -88,11 +93,12 @@ def _next_id() -> str:
 
 
 class Span:
-    """One live (or finished) traced unit of work."""
+    """One live (or finished) traced unit of work, and its own context
+    manager: entering makes it the current span, leaving finishes it."""
 
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id", "attrs",
-        "start_unix", "_start", "duration_s", "status",
+        "start_unix", "_start", "duration_s", "status", "_token",
     )
 
     def __init__(self, name: str, parent: Optional["Span"], attrs: Dict[str, Any]) -> None:
@@ -108,22 +114,24 @@ class Span:
         self._start = time.perf_counter()
         self.duration_s: Optional[float] = None
         self.status = "ok"
+        self._token = None
+
+    def __enter__(self) -> "Span":
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration_s = time.perf_counter() - self._start
+        if exc_type is not None:
+            self.status = "error"
+            self.attrs.setdefault("error", exc_type.__name__)
+        if self._token is not None:
+            _CURRENT.reset(self._token)
+        _finish(self)
 
     def set(self, **attrs: Any) -> None:
         """Attach/overwrite attributes on the live span."""
         self.attrs.update(attrs)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_unix": self.start_unix,
-            "duration_s": self.duration_s,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-        }
 
     def __repr__(self) -> str:
         return f"Span({self.name!r}, id={self.span_id}, parent={self.parent_id})"
@@ -139,30 +147,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-
-class _SpanContext:
-    """Tiny hand-rolled context manager (cheaper than ``@contextmanager``)."""
-
-    __slots__ = ("_span", "_token")
-
-    def __init__(self, name: str, attrs: Dict[str, Any]) -> None:
-        self._span = Span(name, _CURRENT.get(), attrs)
-        self._token = None
-
-    def __enter__(self) -> Span:
-        self._token = _CURRENT.set(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        live = self._span
-        live.duration_s = time.perf_counter() - live._start
-        if exc_type is not None:
-            live.status = "error"
-            live.attrs.setdefault("error", exc_type.__name__)
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-        _finish(live)
 
 
 class _NullContext:
@@ -182,7 +166,7 @@ def span(name: str, **attrs: Any):
     """Context manager for one traced unit of work (no-op when disabled)."""
     if not telemetry_enabled():
         return _NULL_CONTEXT
-    return _SpanContext(name, attrs)
+    return Span(name, _CURRENT.get(), attrs)
 
 
 def current() -> Optional[Span]:
@@ -215,57 +199,48 @@ class attach:
 
 def add_exporter(exporter: Callable[[Span], None]) -> None:
     """Register a callback invoked with every finished span."""
+    global _EXPORTERS
     with _EXPORTERS_LOCK:
-        _EXPORTERS.append(exporter)
+        _EXPORTERS = (*_EXPORTERS, exporter)
 
 
 def remove_exporter(exporter: Callable[[Span], None]) -> None:
+    global _EXPORTERS
     with _EXPORTERS_LOCK:
         if exporter in _EXPORTERS:
-            _EXPORTERS.remove(exporter)
+            remaining = list(_EXPORTERS)
+            remaining.remove(exporter)
+            _EXPORTERS = tuple(remaining)
 
 
-def _exporters() -> Iterator[Callable[[Span], None]]:
-    with _EXPORTERS_LOCK:
-        return iter(list(_EXPORTERS))
-
-
-# Finished-span metric series, cached per (name, status) / name: the registry
+# Finished-span metric series, cached per (name, status): the registry
 # get-or-create plus label resolution costs ~5us per lookup, which multiplies
 # on hot serving paths (one span per micro-batch flush).  Series objects are
 # stable once created, so caching them is safe.
 _SERIES_CACHE_LOCK = threading.Lock()
-_SPAN_COUNT_SERIES: Dict[tuple, Any] = {}
-_SPAN_TIME_SERIES: Dict[str, Any] = {}
+_SPAN_SERIES: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
 
 
 def _finish(finished: Span) -> None:
     key = (finished.name, finished.status)
-    counter = _SPAN_COUNT_SERIES.get(key)
-    if counter is None:
-        counter = REGISTRY.counter(
-            "repro_spans_total", "Finished spans by name", ("name", "status")
-        ).labels(name=finished.name, status=finished.status)
+    series = _SPAN_SERIES.get(key)
+    if series is None:
+        series = (
+            REGISTRY.counter(
+                "repro_spans_total", "Finished spans by name", ("name", "status")
+            ).labels(name=finished.name, status=finished.status),
+            REGISTRY.histogram(
+                "repro_span_seconds", "Span durations by name", ("name",)
+            ).labels(name=finished.name),
+        )
         with _SERIES_CACHE_LOCK:
-            _SPAN_COUNT_SERIES[key] = counter
+            _SPAN_SERIES[key] = series
+    counter, timer = series
     counter.inc()
-    timer = _SPAN_TIME_SERIES.get(finished.name)
-    if timer is None:
-        timer = REGISTRY.histogram(
-            "repro_span_seconds", "Span durations by name", ("name",)
-        ).labels(name=finished.name)
-        with _SERIES_CACHE_LOCK:
-            _SPAN_TIME_SERIES[finished.name] = timer
     timer.observe(finished.duration_s or 0.0)
-    if _EXPORTERS:
-        for exporter in _exporters():
-            try:
-                exporter(finished)
-            except Exception:
-                # A broken exporter must never fail the traced work itself.
-                pass
-    # The durable sink import is deferred: events imports nothing from here,
-    # but keeping the edge lazy makes the zero-cost disabled path obvious.
-    from . import events
-
-    events.emit_span(finished)
+    for exporter in _EXPORTERS:
+        try:
+            exporter(finished)
+        except Exception:
+            # A broken exporter must never fail the traced work itself.
+            pass

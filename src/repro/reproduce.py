@@ -522,13 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="micro-batching: flush once this many fingerprints are queued",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=5.0,
-        help="micro-batching: flush at the latest this long after the oldest request",
+        help="micro-batching: the flusher stops taking queued requests once this "
+        "many fingerprints are taken (a batch may exceed it; a request is never split)",
     )
     serve.add_argument(
         "--no-batching",
@@ -871,7 +866,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             routes=routes,
             batching=not args.no_batching,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_loaded=args.max_loaded,
             watch_interval_s=args.watch_interval,
         )
@@ -885,7 +879,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             routes=routes,
             batching=not args.no_batching,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_loaded=args.max_loaded,
             watch_interval_s=args.watch_interval,
         )

@@ -15,7 +15,8 @@ localizing live fingerprints at serving scale:
   eviction and per-endpoint request/latency stats.
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, a throughput-oriented
   executor that coalesces requests from many callers into one batched
-  ``localize`` call (max-batch / max-wait knobs) with bit-identical results.
+  ``localize`` call (a greedy flusher: whatever queued while the last batch
+  computed, up to ``max_batch`` fingerprints) with bit-identical results.
 * :mod:`repro.serve.http` — :class:`ServingApp`, the application behind
   the ``repro serve`` API (``POST /v1/localize``, ``GET /v1/models``,
   ``/healthz``, ``/metrics``): gateway, micro-batchers, shadow routing and

@@ -32,6 +32,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ...data.fingerprint import require_finite
+
 try:  # Optional accelerated encoding; the wire protocol works without it.
     import msgpack  # type: ignore[import-not-found]
 except ImportError:  # pragma: no cover - exercised where msgpack is absent
@@ -262,9 +264,10 @@ def parse_localize_payload(
 ) -> Tuple[str, np.ndarray, bool]:
     """Validate a ``POST /v1/localize`` payload -> ``(endpoint, features, proba)``.
 
-    Exactly the PR-4 semantics: a flat fingerprint list is promoted to a
-    batch of one, the empty list is an empty batch, anything non-2-D is a
-    :class:`ValueError` (HTTP 400).
+    A flat fingerprint list is promoted to a batch of one, the empty list is
+    an empty batch; anything non-2-D, or a fingerprint with a NaN or
+    infinite reading, is a :class:`ValueError` (HTTP 400) raised before the
+    request reaches a batch.
     """
     if not isinstance(payload, Mapping):
         raise ValueError("request body must be a JSON object")
@@ -282,6 +285,7 @@ def parse_localize_payload(
         raise ValueError(
             f"fingerprints must be a (n, num_aps) matrix, got shape {features.shape}"
         )
+    require_finite(features)
     return endpoint, features, bool(payload.get("probabilities"))
 
 

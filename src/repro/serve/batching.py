@@ -4,15 +4,14 @@ Per-request model inference pays the full Python/NumPy dispatch overhead for
 every single fingerprint; the batched prediction path amortizes it across the
 whole batch.  :class:`MicroBatcher` exploits that for serving throughput:
 requests from many callers (e.g. the threads of the HTTP server) queue up and
-a background flusher drains them as *one* batched call whenever
+a background flusher drains them as *one* batched call.
 
-* ``max_batch`` fingerprints have accumulated, or
-* the oldest queued request has waited ``max_wait_ms``, or
-* the queue went *quiescent* — no new request arrived within a short poll
-  interval — so waiting longer could not grow the batch (this is what keeps
-  added latency near zero under light load: while one batch computes, new
-  arrivals queue up and become the next batch, so the batch size adapts to
-  the arrival rate instead of to an artificial timer).
+The flusher is greedy: it sleeps only while the queue is empty, and as soon
+as it is free it takes the queued requests in arrival order until
+``max_batch`` fingerprints are taken (a request is never split).  Requests
+that arrive while a batch computes queue up and become the next batch, so
+the batch size follows the arrival rate instead of a timer, and a request
+that finds the flusher idle is flushed at once.
 
 Results are split back per request, so batching is invisible to callers —
 ``batcher.localize(x)`` is bit-identical to ``localize_fn(x)``: the batched
@@ -29,11 +28,10 @@ dimensionality and semantics).
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +52,6 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 class _Pending:
     features: np.ndarray
     future: Future
-    enqueued: float
     #: Span live in the submitting thread, re-attached by the flusher so the
     #: batched flush nests under the request that opened the batch.
     trace_parent: "Optional[Span]" = None
@@ -140,29 +137,21 @@ class MicroBatcher:
         Callable taking one ``(n, num_aps)`` feature array and returning a
         :class:`~repro.api.LocalizationResult` for it.
     max_batch:
-        Flush as soon as this many fingerprints are queued (a single request
-        larger than ``max_batch`` still flushes as one batch — requests are
-        never split).
-    max_wait_ms:
-        Flush at the latest this long after the *oldest* queued request
-        arrived.  This is an upper bound; a quiescent queue flushes after a
-        single poll interval (a tenth of ``max_wait_ms``, clamped to
-        [0.05 ms, 1 ms]) without waiting out the deadline.
+        The flusher stops taking queued requests once this many fingerprints
+        are taken (a single request larger than ``max_batch`` still flushes
+        as one batch — requests are never split).
     """
 
     def __init__(
         self,
         localize_fn: Callable[[np.ndarray], "LocalizationResult"],
         max_batch: int = 64,
-        max_wait_ms: float = 5.0,
         batch_fn: Optional[Callable[[np.ndarray], "LocalizationResult"]] = None,
         registry: Optional[MetricsRegistry] = None,
         endpoint: str = "",
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self.localize_fn = localize_fn
         #: Function used for combined batch flushes.  A failed batch flush is
         #: retried per request through ``localize_fn``, so callers whose
@@ -170,14 +159,14 @@ class MicroBatcher:
         #: stats-suppressed variant here to avoid counting each failure twice.
         self.batch_fn = batch_fn if batch_fn is not None else localize_fn
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
-        self._poll_s = min(1e-3, max(5e-5, self.max_wait_s / 10.0))
         self.stats = BatchStats(registry=registry, endpoint=endpoint)
         self._queue_depth = self.stats.registry.gauge(
             "repro_batch_queue_depth",
             "Fingerprints currently queued for flushing", ("endpoint",),
         ).labels(endpoint=self.stats.endpoint)
-        self._queue: List[_Pending] = []
+        self._queue: Deque[_Pending] = deque()
+        #: Fingerprints in ``_queue``, kept up to date under ``_lock``.
+        self._queued_rows = 0
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
@@ -196,16 +185,13 @@ class MicroBatcher:
         with self._lock:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
-            self._queue.append(
-                _Pending(array, future, time.perf_counter(), trace.current())
-            )
+            self._queue.append(_Pending(array, future, trace.current()))
+            self._queued_rows += array.shape[0]
             self.stats.record_request()
-            self._queue_depth.set(self._queued_rows())
-            # Wake the flusher only on transitions it cares about (queue was
-            # empty, or the batch just filled); intermediate arrivals are
-            # picked up by its poll loop.  Under heavy concurrency this
-            # avoids one context switch per request.
-            if len(self._queue) == 1 or self._queued_rows() >= self.max_batch:
+            self._queue_depth.set(self._queued_rows)
+            # The flusher waits only on an empty queue; a busy flusher finds
+            # this request when it comes back for the next batch.
+            if len(self._queue) == 1:
                 self._wakeup.notify()
         return future
 
@@ -214,37 +200,21 @@ class MicroBatcher:
         return self.submit(features).result()
 
     # -- flusher --------------------------------------------------------
-    def _queued_rows(self) -> int:
-        return sum(item.features.shape[0] for item in self._queue)
-
     def _run(self) -> None:
         while True:
             with self._lock:
                 while not self._queue and not self._closed:
                     self._wakeup.wait()
-                if self._closed and not self._queue:
-                    return
-                # Wait (briefly) for the batch to fill: never past the oldest
-                # request's deadline, and only while requests keep arriving —
-                # a queue that stayed flat for one poll interval flushes
-                # immediately instead of idling out the deadline.
-                deadline = self._queue[0].enqueued + self.max_wait_s
-                while (
-                    self._queued_rows() < self.max_batch
-                    and not self._closed
-                    and (remaining := deadline - time.perf_counter()) > 0
-                ):
-                    rows_before = self._queued_rows()
-                    self._wakeup.wait(timeout=min(remaining, self._poll_s))
-                    if self._queued_rows() == rows_before:
-                        break
+                if not self._queue:
+                    return  # closed and drained
                 batch: List[_Pending] = []
                 rows = 0
-                while self._queue and (not batch or rows < self.max_batch):
-                    item = self._queue.pop(0)
+                while self._queue and rows < self.max_batch:
+                    item = self._queue.popleft()
                     batch.append(item)
                     rows += item.features.shape[0]
-                self._queue_depth.set(self._queued_rows())
+                self._queued_rows -= rows
+                self._queue_depth.set(self._queued_rows)
             # The flusher thread has no ambient trace context of its own;
             # re-enter the context of the request that opened the batch so
             # the flush span nests under it.

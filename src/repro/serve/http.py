@@ -152,7 +152,6 @@ class ServingApp:
         routes: Optional[Mapping[str, Union[str, RouteSpec]]] = None,
         batching: bool = True,
         max_batch: int = 64,
-        max_wait_ms: float = 5.0,
         max_loaded: int = 8,
         watch_interval_s: float = 0.0,
         worker_id: Optional[int] = None,
@@ -181,7 +180,6 @@ class ServingApp:
         }
         self.batching = bool(batching)
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.worker_id = worker_id
         self.started_unix = time.time()
         self._batchers: Dict[str, MicroBatcher] = {}
@@ -228,14 +226,28 @@ class ServingApp:
         return "_invalid"
 
     # -- request paths --------------------------------------------------
+    def _batcher(self, endpoint: str) -> Optional[MicroBatcher]:
+        with self._lock:
+            return self._batchers.get(endpoint)
+
     def batcher_for(self, endpoint: str) -> MicroBatcher:
+        """The endpoint's batcher, created by the endpoint's first request.
+
+        Only that first request resolves the endpoint (and loads its model):
+        each batcher owns a flusher thread, so an unknown name must 404
+        before one exists.  Later requests go straight to the batcher, whose
+        flush pins and resolves the ref inside :meth:`Gateway.localize`.
+        """
+        batcher = self._batcher(endpoint)
+        if batcher is not None:
+            return batcher
+        self.gateway.service_for(endpoint)
         with self._lock:
             batcher = self._batchers.get(endpoint)
             if batcher is None:
                 batcher = MicroBatcher(
                     partial(self.gateway.localize, endpoint),
                     max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms,
                     # A failed combined flush degrades to per-request calls,
                     # which then record the user-visible error/guard stats;
                     # the probe must not pre-count them.
@@ -251,10 +263,6 @@ class ServingApp:
     def localize(self, endpoint: str, features: Sequence) -> "LocalizationResult":
         """One request through the configured path (micro-batched or direct)."""
         if self.batching:
-            # Resolve the endpoint *before* creating a batcher (each batcher
-            # owns a flusher thread): unknown model names must 404, not
-            # accumulate one orphaned batcher per bogus name.
-            self.gateway.service_for(endpoint)
             return self.batcher_for(endpoint).localize(features)
         return self.gateway.localize(endpoint, features)
 
@@ -268,14 +276,14 @@ class ServingApp:
         # request span parented through the thread hop.
         context = contextvars.copy_context()
         if self.batching:
-            # First-load store I/O (and the 404 for unknown names) happens on
-            # the executor; the batcher future then bridges straight back.
-            await loop.run_in_executor(
-                self._executor, context.run, self.gateway.service_for, endpoint
-            )
-            return await asyncio.wrap_future(
-                self.batcher_for(endpoint).submit(features)
-            )
+            batcher = self._batcher(endpoint)
+            if batcher is None:
+                # The first load's store I/O (and the 404 for an unknown
+                # name) happens on the executor, never on the event loop.
+                batcher = await loop.run_in_executor(
+                    self._executor, context.run, self.batcher_for, endpoint
+                )
+            return await asyncio.wrap_future(batcher.submit(features))
         return await loop.run_in_executor(
             self._executor, context.run, self.gateway.localize, endpoint, features
         )
@@ -395,7 +403,6 @@ class ServingApp:
             "batching": {
                 "enabled": self.batching,
                 "max_batch": self.max_batch,
-                "max_wait_ms": self.max_wait_ms,
                 "endpoints": batching,
             },
             # The HTTP layer's own accounting, including endpoints that

@@ -68,6 +68,19 @@ class TestRotation:
         records = list(read_events(tmp_path))
         assert [record["index"] for record in records] == list(range(50))
 
+    def test_batched_append_rotates_between_whole_lines(self, tmp_path):
+        lines = [
+            events._encode_line({"kind": "b", "index": index, "pad": "x" * 20})
+            for index in range(50)
+        ]
+        with EventLog(tmp_path, max_segment_bytes=200) as log:
+            log.append_lines(lines)
+        segments = segment_paths(tmp_path)
+        assert len(segments) > 1
+        assert all(path.stat().st_size <= 200 for path in segments)
+        records = list(read_events(tmp_path))
+        assert [record["index"] for record in records] == list(range(50))
+
     def test_pid_reuse_continues_sequence(self, tmp_path):
         with EventLog(tmp_path) as log:
             log.append({"kind": "first"})
@@ -150,10 +163,10 @@ class TestSinkSafety:
     def test_raising_sink_never_breaks_the_caller(self, tmp_path, monkeypatch):
         sink = events.configure_sink(tmp_path)
 
-        def explode(record):
+        def explode(lines):
             raise OSError("disk on fire")
 
-        monkeypatch.setattr(sink.log, "append", explode)
+        monkeypatch.setattr(sink.log, "append_lines", explode)
         events.emit("doomed")  # swallowed
         with trace.span("still.works"):
             pass  # emit_span is also swallowed
@@ -168,6 +181,41 @@ class TestSinkSafety:
         assert record["pid"] == os.getpid()
         assert record["extra"] == 1
         assert isinstance(record["ts"], float)
+
+    def test_span_record_is_the_span_envelope(self, tmp_path):
+        events.configure_sink(tmp_path)
+        with trace.span("envelope.probe", rows=2) as live:
+            pass
+        events.configure_sink(None)
+        (record,) = read_events(tmp_path, kind="span")
+        assert record == {
+            "ts": pytest.approx(live.start_unix + live.duration_s),
+            "pid": os.getpid(),
+            "kind": "span",
+            "name": "envelope.probe",
+            "trace_id": live.trace_id,
+            "span_id": live.span_id,
+            "parent_id": None,
+            "start_unix": live.start_unix,
+            "duration_s": live.duration_s,
+            "status": "ok",
+            "attrs": {"rows": 2},
+        }
+
+    def test_reconfigured_sink_takes_over_span_export(self, tmp_path):
+        exporters = len(trace._EXPORTERS)
+        events.configure_sink(tmp_path / "first")
+        with trace.span("to.first"):
+            pass
+        events.configure_sink(tmp_path / "second")
+        with trace.span("to.second"):
+            pass
+        events.configure_sink(None)
+        assert len(trace._EXPORTERS) == exporters  # no stale sink left behind
+        with trace.span("to.nobody"):
+            pass
+        for root, name in (("first", "to.first"), ("second", "to.second")):
+            assert [r["name"] for r in read_events(tmp_path / root)] == [name]
 
     def test_flush_makes_prior_emits_readable(self, tmp_path):
         sink = EventSink(tmp_path, drain_interval_s=5.0)

@@ -28,7 +28,6 @@ def running_server(published_store):
         published_store,
         routes={"building-1/knn": "knn@prod"},
         max_batch=8,
-        max_wait_ms=2.0,
     ) as server:
         yield server
 

@@ -123,7 +123,7 @@ class TestHandOffs:
             )
 
         with trace.span("request.side") as request_span:
-            with MicroBatcher(localize, max_batch=4, max_wait_ms=1.0) as batcher:
+            with MicroBatcher(localize, max_batch=4) as batcher:
                 batcher.submit(np.zeros(3)).result(timeout=5)
         flush = next(s for s in collected if s.name == "serve.batch.flush")
         assert flush.parent_id == request_span.span_id

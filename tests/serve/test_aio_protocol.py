@@ -182,3 +182,17 @@ class TestParseLocalizePayload:
     def test_invalid_payloads_raise_value_error(self, payload):
         with pytest.raises(ValueError):
             parse_localize_payload(payload)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_like_the_service(self, tiny_campaign, bad):
+        from repro.api import LocalizationService
+
+        features = tiny_campaign.test_for("S7").features[:5].copy()
+        features[1, 0] = bad
+        features[3, -1] = bad
+        with pytest.raises(ValueError, match=r"2 fingerprint\(s\).*rows \[1, 3\]") as edge:
+            parse_localize_payload({"model": "knn", "fingerprints": features})
+        service = LocalizationService("KNN").fit(tiny_campaign.train)
+        with pytest.raises(ValueError) as direct:
+            service.localize(features)
+        assert str(edge.value) == str(direct.value)

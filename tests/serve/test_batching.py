@@ -21,7 +21,7 @@ class TestBitIdentity:
     def test_single_fingerprint_requests_match_direct_batch(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
         direct = service.localize(test.features)
-        with MicroBatcher(service.localize, max_batch=4, max_wait_ms=2.0) as batcher:
+        with MicroBatcher(service.localize, max_batch=4) as batcher:
             futures = [batcher.submit(row) for row in test.features]
             results = [future.result(timeout=10) for future in futures]
         np.testing.assert_array_equal(
@@ -39,7 +39,7 @@ class TestBitIdentity:
 
     def test_multi_row_requests_keep_their_slices(self, service, tiny_campaign):
         test = tiny_campaign.test_for("BLU")
-        with MicroBatcher(service.localize, max_batch=64, max_wait_ms=2.0) as batcher:
+        with MicroBatcher(service.localize, max_batch=64) as batcher:
             first = batcher.submit(test.features[:4])
             second = batcher.submit(test.features[4:7])
             a, b = first.result(timeout=10), second.result(timeout=10)
@@ -51,7 +51,7 @@ class TestBitIdentity:
         test = tiny_campaign.test_for("S7")
         direct = service.localize(test.features)
         results = [None] * test.features.shape[0]
-        with MicroBatcher(service.localize, max_batch=8, max_wait_ms=5.0) as batcher:
+        with MicroBatcher(service.localize, max_batch=8) as batcher:
             def worker(index: int) -> None:
                 results[index] = batcher.localize(test.features[index])
 
@@ -71,8 +71,7 @@ class TestBitIdentity:
 class TestFlushPolicy:
     def test_max_batch_triggers_immediate_flush(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
-        # A generous max_wait: flushes must come from the size trigger.
-        with MicroBatcher(service.localize, max_batch=4, max_wait_ms=60_000) as batcher:
+        with MicroBatcher(service.localize, max_batch=4) as batcher:
             futures = [batcher.submit(row) for row in test.features[:8]]
             for future in futures:
                 future.result(timeout=10)
@@ -80,24 +79,62 @@ class TestFlushPolicy:
             assert batcher.stats.requests == 8
             assert max(batcher.stats.batch_sizes) <= 4
 
-    def test_max_wait_flushes_partial_batch(self, service, tiny_campaign):
+    def test_partial_batch_flushes_without_waiting(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
-        with MicroBatcher(service.localize, max_batch=1_000, max_wait_ms=20.0) as batcher:
+        with MicroBatcher(service.localize, max_batch=1_000) as batcher:
             start = time.perf_counter()
             result = batcher.localize(test.features[0])
             elapsed = time.perf_counter() - start
+            assert list(batcher.stats.batch_sizes) == [1]
         assert result.labels.shape == (1,)
-        assert elapsed < 10.0  # flushed by the wait timer, not the size trigger
+        assert elapsed < 10.0  # an idle flusher takes a lone request at once
+
+    def test_requests_queued_during_a_flush_leave_together(self, service, tiny_campaign):
+        """Whatever queues while a flush runs forms the next batches: in
+        arrival order, each stopping once ``max_batch`` rows are taken,
+        never splitting a request (so one larger than ``max_batch`` at the
+        head of the queue flushes alone)."""
+        rows = np.concatenate(
+            [tiny_campaign.test_for(device).features for device in ("S7", "BLU")]
+        )
+        entered, release = threading.Event(), threading.Event()
+        flushed = []
+
+        def gated_localize(features):
+            flushed.append(features.copy())
+            entered.set()
+            release.wait(10)
+            return service.localize(features)
+
+        requests = [
+            rows[1], rows[2], rows[3], rows[4], rows[5:11], rows[11:14], rows[14:17], rows[17]
+        ]
+        with MicroBatcher(gated_localize, max_batch=4) as batcher:
+            first = batcher.submit(rows[0])
+            assert entered.wait(10)  # the flusher is now blocked on the first batch
+            futures = [batcher.submit(request) for request in requests]
+            release.set()
+            results = [future.result(timeout=10) for future in [first, *futures]]
+        # 4 singles fill a batch; the 6-row request flushes alone; 3 + 3 rows
+        # stop past max_batch; the last single goes on its own.
+        expected = [rows[0:1], rows[1:5], rows[5:11], rows[11:17], rows[17:18]]
+        assert [batch.shape[0] for batch in flushed] == [1, 4, 6, 6, 1]
+        for batch, rows_expected in zip(flushed, expected):
+            np.testing.assert_array_equal(batch, rows_expected)
+        direct = service.localize(rows[:18])
+        np.testing.assert_array_equal(
+            np.concatenate([result.labels for result in results]), direct.labels
+        )
 
     def test_oversized_request_is_not_split(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
-        with MicroBatcher(service.localize, max_batch=2, max_wait_ms=2.0) as batcher:
+        with MicroBatcher(service.localize, max_batch=2) as batcher:
             result = batcher.localize(test.features)
         assert len(result) == test.features.shape[0]
 
     def test_stats_document(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
-        with MicroBatcher(service.localize, max_batch=4, max_wait_ms=2.0) as batcher:
+        with MicroBatcher(service.localize, max_batch=4) as batcher:
             for row in test.features[:4]:
                 batcher.localize(row)
             stats = batcher.stats.as_dict()
@@ -112,7 +149,7 @@ class TestLifecycleAndErrors:
         def failing(features):
             raise RuntimeError("model exploded")
 
-        with MicroBatcher(failing, max_batch=8, max_wait_ms=2.0) as batcher:
+        with MicroBatcher(failing, max_batch=8) as batcher:
             futures = [batcher.submit(np.zeros(4)) for _ in range(3)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="model exploded"):
@@ -125,16 +162,36 @@ class TestLifecycleAndErrors:
         requests must fail only its own caller — the flusher survives and
         innocent batch-mates still get their results."""
         test = tiny_campaign.test_for("S7")
-        with MicroBatcher(service.localize, max_batch=8, max_wait_ms=20.0) as batcher:
-            good = batcher.submit(test.features[0])
+        entered, release = threading.Event(), threading.Event()
+        retried = []
+
+        def gated_batch(features):
+            entered.set()
+            release.wait(10)
+            return service.localize(features)
+
+        def retry_one(features):
+            retried.append(features.shape)
+            return service.localize(features)
+
+        with MicroBatcher(retry_one, max_batch=8, batch_fn=gated_batch) as batcher:
+            opener = batcher.submit(test.features[0])
+            assert entered.wait(10)  # the flusher is blocked on the first batch
+            good = batcher.submit(test.features[1])
             bad = batcher.submit(np.zeros(3))  # wrong AP count
-            also_good = batcher.submit(test.features[1])
+            also_good = batcher.submit(test.features[2])
+            release.set()
+            assert opener.result(timeout=10).labels.shape == (1,)
             assert good.result(timeout=10).labels.shape == (1,)
             with pytest.raises(ValueError, match="APs|concatenat"):
                 bad.result(timeout=10)
             assert also_good.result(timeout=10).labels.shape == (1,)
+            # The three queued together, so their one combined flush failed
+            # and each was retried on its own, in arrival order.
+            width = test.features.shape[1]
+            assert retried == [(1, width), (1, 3), (1, width)]
             # The flusher is still alive and serving.
-            later = batcher.localize(test.features[2])
+            later = batcher.localize(test.features[3])
             assert later.labels.shape == (1,)
 
     def test_cancelled_future_neither_kills_flusher_nor_starves_batchmates(
@@ -149,7 +206,7 @@ class TestLifecycleAndErrors:
             release.wait(10)
             return service.localize(features)
 
-        with MicroBatcher(gated_localize, max_batch=8, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(gated_localize, max_batch=8) as batcher:
             first = batcher.submit(test.features[0])
             time.sleep(0.05)  # flusher is now blocked inside gated_localize
             doomed = batcher.submit(test.features[1])
@@ -162,14 +219,14 @@ class TestLifecycleAndErrors:
             assert batcher.localize(test.features[0]).labels.shape == (1,)
 
     def test_submit_after_close_raises(self, service):
-        batcher = MicroBatcher(service.localize, max_batch=4, max_wait_ms=1.0)
+        batcher = MicroBatcher(service.localize, max_batch=4)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit(np.zeros(4))
 
     def test_close_drains_queue(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
-        batcher = MicroBatcher(service.localize, max_batch=1_000, max_wait_ms=60_000)
+        batcher = MicroBatcher(service.localize, max_batch=1_000)
         futures = [batcher.submit(row) for row in test.features[:3]]
         batcher.close(timeout=10)
         for future in futures:
@@ -178,5 +235,3 @@ class TestLifecycleAndErrors:
     def test_invalid_knobs_rejected(self, service):
         with pytest.raises(ValueError):
             MicroBatcher(service.localize, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(service.localize, max_wait_ms=-1.0)

@@ -149,7 +149,7 @@ class TestHTTPGuard:
         store = ModelStore(tmp_path / "store")
         store.publish(_guarded_service(tiny_campaign, "monitor"), "knn", tags=("prod",))
         store.publish(_guarded_service(tiny_campaign, "reject"), "knn-strict", tags=("prod",))
-        with AioServerThread(store, max_batch=8, max_wait_ms=2.0) as server:
+        with AioServerThread(store, max_batch=8) as server:
             yield server
 
     def _post(self, server, payload):

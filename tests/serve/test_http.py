@@ -28,7 +28,6 @@ def running_server(published_store):
         published_store,
         routes={"building-1/knn": "knn@prod"},
         max_batch=8,
-        max_wait_ms=2.0,
     ) as server:
         yield server
 
@@ -173,6 +172,43 @@ class TestKeepAlive:
         client.health()
         client.metrics()
         assert client.connections_opened == 1
+
+
+class TestWarmPath:
+    def test_only_an_endpoints_first_request_resolves_it(
+        self, published_store, tiny_campaign, monkeypatch
+    ):
+        """Once an endpoint has a batcher, sync and async requests submit
+        straight to it: ``Gateway.service_for`` runs once per endpoint."""
+        import asyncio
+
+        from repro.serve.http import ServingApp
+
+        rows = tiny_campaign.test_for("S7").features
+        direct = published_store.resolve("knn@prod").localize(rows)
+        app = ServingApp(published_store, routes={"building-1/knn": "knn@prod"})
+        resolved = []
+        service_for = app.gateway.service_for
+
+        def counting_service_for(endpoint):
+            resolved.append(endpoint)
+            return service_for(endpoint)
+
+        monkeypatch.setattr(app.gateway, "service_for", counting_service_for)
+
+        async def documents():
+            return [
+                await app.localize_document({"model": "knn@prod", "fingerprints": row})
+                for row in rows
+            ]
+
+        try:
+            sync_labels = [app.localize("building-1/knn", row).labels[0] for row in rows]
+            async_labels = [document["labels"][0] for document in asyncio.run(documents())]
+        finally:
+            app.close()
+        assert resolved == ["building-1/knn", "knn@prod"]
+        assert sync_labels == async_labels == direct.labels.tolist()
 
 
 class TestUnbatchedMode:
