@@ -53,7 +53,6 @@ def measure(args: argparse.Namespace) -> Dict[str, object]:
     jobs = args.jobs if args.jobs > 0 else max(2, min(4, os.cpu_count() or 1))
     models = args.models
     spec = ExperimentSpec(models=tuple(models), profile=args.profile, name="bench_engine")
-    spec.validate()
     config = spec.config()
     scenarios = spec.resolve_scenarios(config)
     grid = {

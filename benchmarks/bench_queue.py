@@ -80,7 +80,6 @@ def _bench_resume(spec: ExperimentSpec) -> Dict[str, object]:
 def measure(args: argparse.Namespace) -> Dict[str, object]:
     """Execute the benchmark modes and return the report sections."""
     spec = ExperimentSpec(models=tuple(args.models), profile=args.profile, name="bench_queue")
-    spec.validate()
     stages = spec.resolve_plan().stage_counts()
     reps = args.reps
     print(

@@ -57,13 +57,7 @@ from .api import (
 )
 from .core import CALLOC
 from .defenses import Defense, DefenseSpec, GuardRejectedError
-from .eval import (
-    ArtifactCache,
-    ExecutionEngine,
-    ExperimentRunner,
-    ResultSet,
-    ScenarioSpec,
-)
+from .eval import ArtifactCache, ResultSet, ScenarioSpec
 from .interfaces import (
     DifferentiableLocalizer,
     ErrorSummary,
@@ -87,7 +81,7 @@ from .registry import (
 from .queue import QueueWorker, RunLedger, WorkerOptions, collect_results
 from .serve import Gateway, MicroBatcher, ModelStore, ServiceClient
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "CALLOC",
@@ -101,8 +95,6 @@ __all__ = [
     "Defense",
     "DefenseSpec",
     "GuardRejectedError",
-    "ExperimentRunner",
-    "ExecutionEngine",
     "ArtifactCache",
     "ResultSet",
     "run_experiment",

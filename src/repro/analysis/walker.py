@@ -209,30 +209,60 @@ class SourceTree:
         """``{class name: {field name: annotation base}}`` for every dataclass.
 
         A class counts as a dataclass when decorated with ``dataclass`` /
-        ``dataclasses.dataclass`` (bare or called).  Only annotated class-body
-        assignments become fields, mirroring :func:`dataclasses.fields`;
+        ``dataclasses.dataclass`` (bare or called), or when it subclasses one
+        (a base named by its simple name).  Mirroring
+        :func:`dataclasses.fields`, a class has its dataclass bases' fields
+        and then, when decorated, its own annotated class-body assignments;
         ``ClassVar`` annotations are skipped.
         """
-        index: Dict[str, Dict[str, Optional[str]]] = {}
+        #: name -> (base names, own fields; None when not decorated).
+        classes: Dict[str, Tuple[List[Optional[str]], Optional[Dict[str, Optional[str]]]]] = {}
         for module in self.modules:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                if not any(
+                own: Optional[Dict[str, Optional[str]]] = None
+                if any(
                     _decorator_name(decorator) in ("dataclass", "dataclasses.dataclass")
                     for decorator in node.decorator_list
                 ):
-                    continue
-                fields: Dict[str, Optional[str]] = {}
-                for statement in node.body:
-                    if not isinstance(statement, ast.AnnAssign):
-                        continue
-                    if not isinstance(statement.target, ast.Name):
-                        continue
-                    if annotation_base(statement.annotation) == "ClassVar":
-                        continue
-                    fields[statement.target.id] = annotation_base(statement.annotation)
-                index.setdefault(node.name, fields)
+                    own = {}
+                    for statement in node.body:
+                        if not isinstance(statement, ast.AnnAssign):
+                            continue
+                        if not isinstance(statement.target, ast.Name):
+                            continue
+                        if annotation_base(statement.annotation) == "ClassVar":
+                            continue
+                        own[statement.target.id] = annotation_base(statement.annotation)
+                # The first decorated definition of a name wins.
+                previous = classes.get(node.name)
+                if previous is None or (previous[1] is None and own is not None):
+                    classes[node.name] = ([annotation_base(b) for b in node.bases], own)
+
+        resolved: Dict[str, Optional[Dict[str, Optional[str]]]] = {}
+
+        def fields_of(name: Optional[str], visiting: Tuple[str, ...]):
+            if name in resolved:
+                return resolved[name]
+            if name is None or name not in classes or name in visiting:
+                return None
+            bases, own = classes[name]
+            inherited = [fields_of(base, visiting + (name,)) for base in reversed(bases)]
+            fields: Optional[Dict[str, Optional[str]]] = None
+            if own is not None or any(f is not None for f in inherited):
+                fields = {}
+                for base_fields in inherited:
+                    fields.update(base_fields or {})
+                fields.update(own or {})
+            resolved[name] = fields
+            return fields
+
+        index: Dict[str, Dict[str, Optional[str]]] = {}
+        for name in classes:
+            fields = fields_of(name, ())
+            if fields is not None:
+                index[name] = fields
         return index
 
 

@@ -29,7 +29,7 @@ immediately scriptable::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -49,7 +49,7 @@ __all__ = [
     "ModelSpec",
     "ExperimentSpec",
     "default_model_params",
-    "model_factory",
+    "model_params",
     "run_experiment",
     "LocalizationResult",
     "LocalizationService",
@@ -124,19 +124,16 @@ class ModelSpec:
         )
 
 
-def model_factory(
-    spec: Union[str, ModelSpec], config: EvaluationConfig
-) -> Callable[[], Localizer]:
-    """Zero-argument factory building ``spec``'s model tuned to ``config``."""
-    spec = ModelSpec.from_dict(spec) if not isinstance(spec, ModelSpec) else spec
+def model_params(spec: ModelSpec, config: EvaluationConfig) -> Dict[str, Any]:
+    """``spec``'s constructor params: the profile defaults, then its overrides.
+
+    The one place a spec's model is tuned to a profile: every
+    :class:`~repro.eval.engine.ModelTask` an experiment or
+    :meth:`LocalizationService.trained_on` trains is built from these.
+    """
     params = default_model_params(spec.name, config)
     params.update(spec.params)
-    name = spec.name
-
-    def build() -> Localizer:
-        return make_localizer(name, **params)
-
-    return build
+    return params
 
 
 # ----------------------------------------------------------------------
@@ -234,31 +231,15 @@ class ExperimentSpec:
         """The :class:`EvaluationConfig` this spec's profile names."""
         return PROFILES[self.profile]()
 
-    def resolve_factories(
-        self, config: EvaluationConfig
-    ) -> Dict[str, Callable[[], Localizer]]:
-        """Display-name → factory mapping for every model in the spec."""
-        if not self.models:
-            raise ValueError("experiment spec declares no models")
-        factories: Dict[str, Callable[[], Localizer]] = {}
-        for model in self.models:
-            if model.display_name in factories:
-                raise ValueError(
-                    f"duplicate model label '{model.display_name}' in experiment spec"
-                )
-            factories[model.display_name] = model_factory(model, config)
-        return factories
-
     def resolve_model_tasks(self, config: EvaluationConfig) -> List["ModelTask"]:
         """The spec's models as engine :class:`~repro.eval.engine.ModelTask`\\ s.
 
         Each task carries the resolved registry name plus the fully-merged
-        constructor params (profile defaults overlaid with the spec's
-        overrides) — everything the execution engine needs to build, train
-        and cache-key the model.  When the spec declares ``defenses``, one
-        task is emitted per (model, defense) pair; the ``"none"`` family maps
-        to a defense-less task so its artefacts stay shared with plain
-        undefended runs.
+        constructor params (:func:`model_params`) — everything the engine
+        needs to build, train and cache-key the model.  When the spec
+        declares ``defenses``, one task is emitted per (model, defense) pair;
+        the ``"none"`` family maps to a defense-less task so its artefacts
+        stay shared with plain undefended runs.
         """
         from .eval.engine import ModelTask
 
@@ -285,11 +266,12 @@ class ExperimentSpec:
                         f"(defense '{key[1]}') in experiment spec"
                     )
                 seen.add(key)
-                params = default_model_params(model.name, config)
-                params.update(model.params)
                 tasks.append(
                     ModelTask.create(
-                        model.display_name, model.name, params, defense=defense
+                        model.display_name,
+                        model.name,
+                        model_params(model, config),
+                        defense=defense,
                     )
                 )
         return tasks
@@ -326,18 +308,6 @@ class ExperimentSpec:
             self.devices if self.devices is not None else config.devices,
             tuple(self.resolve_robustness(config)),
         )
-
-    def validate(self) -> "ExperimentSpec":
-        """Re-check component names against the registries; returns self.
-
-        Kept for API compatibility — every check already runs in
-        ``__post_init__``, so a constructed spec is always valid.
-        """
-        for model in self.models:
-            LOCALIZERS.resolve(model.name)
-        for method in self.attack_methods or ():
-            ATTACKS.resolve(method)
-        return self
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -408,10 +378,6 @@ class ExperimentSpec:
     def load(cls, path: PathLike) -> "ExperimentSpec":
         return cls.from_json(Path(path).read_text())
 
-    def with_models(self, *names: Union[str, ModelSpec]) -> "ExperimentSpec":
-        """Copy of this spec with a different model list."""
-        return replace(self, models=tuple(ModelSpec.from_dict(n) for n in names))
-
 
 def run_experiment(
     spec: ExperimentSpec,
@@ -421,12 +387,17 @@ def run_experiment(
 ) -> ResultSet:
     """Execute a declarative experiment spec and return its results.
 
-    ``jobs=1`` runs the plan in-process through
-    :class:`~repro.eval.engine.ExecutionEngine`, under ``config`` when given
-    and the spec's profile otherwise.  ``jobs>1`` submits the spec to a run
-    ledger under a fresh run id and drains it with that many spawned queue
-    workers (:func:`repro.queue.work`); the ledger is removed afterwards,
-    also on failure.  Workers rebuild the plan from the spec alone, so a
+    ``jobs=1`` runs the spec's plan (:meth:`ExperimentSpec.resolve_plan`)
+    in-process, under ``config`` when given and the spec's profile
+    otherwise: every unit, in
+    :meth:`~repro.eval.engine.ExecutionPlan.all_units` order, goes through
+    :func:`~repro.eval.engine.execute_unit` with one
+    :class:`~repro.eval.engine.UnitMemo` for the run, and
+    :func:`~repro.eval.engine.plan_records` decodes the outcomes.
+    ``jobs>1`` submits the spec to a run ledger under a fresh run id and
+    drains it with that many spawned queue workers
+    (:func:`repro.queue.work`); the ledger is removed afterwards, also on
+    failure.  Workers rebuild the plan from the spec alone, so a
     ``config`` other than ``spec.config()`` is rejected there, and a script
     that passes ``jobs>1`` must call this under an
     ``if __name__ == "__main__":`` guard (spawned workers re-import the main
@@ -438,9 +409,6 @@ def run_experiment(
     cache that is deleted afterwards.  Results are bit-identical for every
     job count and cache state.
     """
-    from .eval.engine import ExecutionEngine
-
-    spec.validate()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
@@ -450,13 +418,15 @@ def run_experiment(
                 "pass config=None or run a custom config with jobs=1"
             )
         return _run_on_queue(spec, jobs, cache)
+    # Imported here, not at the top: execute_unit is looked up per run, so a
+    # patched or wrapped module global takes effect.
+    from .eval.engine import ArtifactCache, UnitMemo, execute_unit, plan_records
+
     config = config or spec.config()
-    return ExecutionEngine(config, cache=cache).run(
-        spec.resolve_model_tasks(config),
-        spec.resolve_scenarios(config),
-        buildings=spec.buildings,
-        devices=spec.devices,
-        robustness=spec.resolve_robustness(config),
+    plan = spec.resolve_plan(config)
+    store, memo = ArtifactCache.coerce(cache), UnitMemo()
+    return plan_records(
+        plan, [execute_unit(unit, config, store, memo) for unit in plan.all_units()]
     )
 
 
@@ -601,13 +571,16 @@ class LocalizationService:
         batch_size: int = 512,
         defense: Union[None, str, Mapping[str, Any], DefenseSpec] = None,
     ) -> "LocalizationService":
-        """Fitted service for one paper building via the execution engine.
+        """Fitted service for one paper building, trained as an experiment trains it.
 
-        Campaign simulation and model training run through the same cached
-        work units as :func:`run_experiment`, so spinning up a service for a
-        building that an experiment already visited is a pure cache load —
-        no re-simulation, no re-training.  ``cache`` defaults to the shared
-        on-disk cache (pass ``False`` to force a fresh fit).
+        The model's params are :func:`model_params` of ``model`` and
+        ``params`` under the profile, and campaign simulation and training go
+        through the engine's :func:`~repro.eval.engine.simulate_campaign`
+        and :func:`~repro.eval.engine.train_localizer` under the same cache
+        keys as the units of :func:`run_experiment`.  So spinning up a
+        service for a building that an experiment already visited is a pure
+        cache load — no re-simulation, no re-training.  ``cache`` defaults
+        to the shared on-disk cache (pass ``False`` to force a fresh fit).
 
         ``defense`` hardens the service (see :mod:`repro.defenses`):
         training-time defenses run inside the cached training unit, and
@@ -626,8 +599,7 @@ class LocalizationService:
         defense_spec = DefenseSpec.from_dict(defense) if defense is not None else None
         if defense_spec is not None and defense_spec.name == "none":
             defense_spec = None
-        merged = default_model_params(model, config)
-        merged.update(params or {})
+        merged = model_params(ModelSpec(model, params or {}), config)
         task = ModelTask.create(model, model, merged, defense=defense_spec)
         artifact_cache = ArtifactCache.coerce(cache)
         campaign, campaign_digest = simulate_campaign(building, config, artifact_cache)

@@ -7,8 +7,6 @@ autoencoders).  :func:`repro.registry.make_localizer` builds any of them by
 name.
 """
 
-from typing import Callable, Dict
-
 from ..interfaces import DifferentiableLocalizer, Localizer
 from .advloc import AdvLocLocalizer
 from .anvil import ANVILLocalizer
@@ -40,21 +38,4 @@ __all__ = [
     "DenoisingAutoencoder",
     "DecisionTreeRegressor",
     "GradientBoostedClassifier",
-    "BASELINE_REGISTRY",
 ]
-
-#: Deprecated shim: baseline factories keyed by figure/paper name.  The source
-#: of truth is now :data:`repro.registry.LOCALIZERS`; register new baselines
-#: with ``@register_localizer(name, tags=("baseline",))`` instead of editing
-#: a dict (importing this package registers every module below).
-BASELINE_REGISTRY: Dict[str, Callable[..., Localizer]] = {
-    "KNN": KNNLocalizer,
-    "NaiveBayes": NaiveBayesLocalizer,
-    "GPC": GaussianProcessLocalizer,
-    "DNN": DNNLocalizer,
-    "CNN": CNNLocalizer,
-    "AdvLoc": AdvLocLocalizer,
-    "ANVIL": ANVILLocalizer,
-    "SANGRIA": SANGRIALocalizer,
-    "WiDeep": WiDeepLocalizer,
-}

@@ -47,13 +47,13 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import DEFENSES, make_defense
+from ..registry import DEFENSES, ComponentSpec
 
 __all__ = [
     "DefenseError",
@@ -232,97 +232,19 @@ class Defense(abc.ABC):
 # ----------------------------------------------------------------------
 # Declarative reference
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DefenseSpec:
+class DefenseSpec(ComponentSpec):
     """Serializable, hashable reference to a registered defense family.
 
-    Mirrors :class:`repro.eval.robustness.ScenarioSpec`: ``params`` override
-    the family's constructor defaults, ``seed`` feeds its deterministic
-    draws, and ``label`` is the name used in result records (defaults to the
-    registry name), letting one family appear twice under different knobs in
-    the same experiment.
+    A :class:`~repro.registry.ComponentSpec` over the defense registry;
+    :meth:`build` returns a :class:`Defense`.
     """
 
-    name: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-    seed: int = 0
-    label: Optional[str] = None
-
-    @classmethod
-    def create(
-        cls,
-        name: str,
-        params: Optional[Mapping[str, Any]] = None,
-        seed: int = 0,
-        label: Optional[str] = None,
-    ) -> "DefenseSpec":
-        """Build a spec with the name resolved against the defense registry."""
-        return cls(
-            name=DEFENSES.resolve(name),
-            # List-valued knobs (e.g. from a JSON spec file) become tuples so
-            # the spec stays hashable, as the engine's memos rely on.
-            params=tuple(
-                (key, tuple(value) if isinstance(value, list) else value)
-                for key, value in sorted((params or {}).items())
-            ),
-            seed=int(seed),
-            label=label,
-        )
-
-    @classmethod
-    def from_dict(
-        cls, data: Union[str, Mapping[str, Any], "DefenseSpec"]
-    ) -> "DefenseSpec":
-        """Build from a mapping, a bare registry name, or an existing spec.
-
-        Existing specs are re-resolved rather than passed through, so a
-        hand-constructed ``DefenseSpec(name="curiculum")`` still fails fast
-        with a did-you-mean error and aliases (``"undefended"``) canonicalise
-        to their registry name (``"none"``) — which the engine's
-        artifact-sharing check relies on.
-        """
-        if isinstance(data, str):
-            return cls.create(data)
-        if isinstance(data, DefenseSpec):
-            return cls.create(
-                name=data.name,
-                params=dict(data.params),
-                seed=data.seed,
-                label=data.label,
-            )
-        return cls.create(
-            name=data["name"],
-            params=dict(data.get("params", {})),
-            seed=data.get("seed", 0),
-            label=data.get("label"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.seed:
-            data["seed"] = self.seed
-        if self.label:
-            data["label"] = self.label
-        return data
-
-    @property
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    @property
-    def display_name(self) -> str:
-        return self.label or self.name
+    registry = DEFENSES
 
     @property
     def hardens_training(self) -> bool:
         """Whether this family alters training (a class-level flag, no build)."""
-        return bool(getattr(DEFENSES.get(self.name), "hardens_training", True))
-
-    def build(self) -> Defense:
-        """Instantiate the referenced defense family."""
-        return make_defense(self.name, seed=self.seed, **self.param_dict)
+        return bool(getattr(self.registry.get(self.name), "hardens_training", True))
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,11 @@ Regenerates every table and figure of the paper's evaluation section (see
 pluggable robustness-scenario subsystem (:mod:`repro.eval.robustness`).
 """
 
-from .engine import ArtifactCache, ExecutionEngine, ModelTask, default_cache_dir
+from .engine import ArtifactCache, ModelTask, default_cache_dir
 from .metrics import ErrorStats, aggregate_stats, error_stats, improvement_factor
 from .reporting import ascii_table, format_factor_table, results_to_csv, text_heatmap
 from .robustness import DEFAULT_SCENARIOS, RobustnessScenario, ScenarioSpec
-from .runner import EvaluationRecord, ExperimentRunner, ResultSet
+from .runner import EvaluationRecord, ResultSet
 from .scenarios import AttackScenario, EvaluationConfig
 
 # Imported after the harness modules: figures (lazily) pulls in repro.api,
@@ -39,7 +39,6 @@ __all__ = [
     "robustness_matrix",
     "fig6_spec",
     "ArtifactCache",
-    "ExecutionEngine",
     "ModelTask",
     "default_cache_dir",
     "ErrorStats",
@@ -51,7 +50,6 @@ __all__ = [
     "format_factor_table",
     "results_to_csv",
     "EvaluationRecord",
-    "ExperimentRunner",
     "ResultSet",
     "AttackScenario",
     "EvaluationConfig",

@@ -1,10 +1,9 @@
 """Cache-aware execution engine for the evaluation grid.
 
 The paper's evaluation is one big product grid — models × buildings ×
-devices × attack scenarios — that :class:`~repro.eval.runner.ExperimentRunner`
-used to walk with nested serial loops, re-simulating campaigns and retraining
-models at every operating point.  This module decomposes that grid into a
-flat DAG of *work units*:
+devices × attack scenarios.  Walked with nested loops, it re-simulates
+campaigns and retrains models at every operating point; this module
+decomposes it into a flat DAG of *work units*:
 
 ``CampaignUnit``
     Simulate the fingerprint campaign of one building (no dependencies).
@@ -24,13 +23,13 @@ flat DAG of *work units*:
     cache key.
 
 One executor, :func:`execute_unit`, runs every unit, and two schedulers
-call it: :class:`ExecutionEngine` walks a plan in-process in
+call it: :func:`repro.api.run_experiment` walks a plan in-process in
 :meth:`ExecutionPlan.all_units` order, and the workers of the campaign queue
 (:mod:`repro.queue`) claim units from a run ledger; a ``jobs>1`` run is N
-queue workers draining a throwaway ledger.  Each engine run and each queue
-worker owns one :class:`UnitMemo`, which keeps the campaigns, trained models
-and surrogates its units share in memory for that run or worker only.  Two
-properties make every way of running a plan agree:
+queue workers draining a throwaway ledger.  Each in-process run and each
+queue worker owns one :class:`UnitMemo`, which keeps the campaigns, trained
+models and surrogates its units share in memory for that run or worker
+only.  Two properties make every way of running a plan agree:
 
 * **Deterministic per-unit seeding** — every unit derives all of its
   randomness from seeds carried by its inputs (campaign seed, model seed,
@@ -54,16 +53,17 @@ Cache keys include the package version, so upgrading the library invalidates
 every cached artefact automatically.
 
 Typical use goes through :func:`repro.api.run_experiment` or the CLI
-(``repro run --jobs 4``); the engine can also be driven directly::
+(``repro run --jobs 4``); a plan can also be run unit by unit, which is
+all ``run_experiment`` does at ``jobs=1``::
 
     from repro.api import ExperimentSpec
-    from repro.eval.engine import ExecutionEngine
+    from repro.eval.engine import ArtifactCache, UnitMemo, execute_unit, plan_records
 
     spec = ExperimentSpec(models=("CALLOC", "KNN"), profile="quick")
-    config = spec.config()
-    engine = ExecutionEngine(config, cache=True)
-    results = engine.run(
-        spec.resolve_model_tasks(config), spec.resolve_scenarios(config)
+    config, cache, memo = spec.config(), ArtifactCache(), UnitMemo()
+    plan = spec.resolve_plan(config)
+    results = plan_records(
+        plan, [execute_unit(unit, config, cache, memo) for unit in plan.all_units()]
     )
 """
 
@@ -77,17 +77,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,10 +95,8 @@ from ..nn.serialization import load_state_dict, save_state_dict
 from ..registry import LOCALIZERS, make_attack, make_localizer
 from .metrics import ErrorStats, error_stats
 from .robustness import ScenarioSpec
+from .runner import EvaluationRecord, ResultSet
 from .scenarios import AttackScenario, EvaluationConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports engine)
-    from .runner import ResultSet
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -137,7 +125,6 @@ __all__ = [
     "UnitMemo",
     "execute_unit",
     "plan_records",
-    "ExecutionEngine",
 ]
 
 #: Environment variable overriding the default on-disk cache location.
@@ -249,9 +236,8 @@ class ArtifactCache:
       do not implement the state-array protocol).
     """
 
-    def __init__(self, root: Optional[Union[str, Path]] = None, enabled: bool = True) -> None:
+    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
-        self.enabled = enabled
         self.stats = CacheStats()
 
     # -- construction ---------------------------------------------------
@@ -270,7 +256,7 @@ class ArtifactCache:
         if value is True:
             return cls()
         if isinstance(value, ArtifactCache):
-            return value if value.enabled else None
+            return value
         return cls(value)
 
     # -- paths ----------------------------------------------------------
@@ -308,8 +294,6 @@ class ArtifactCache:
             return pickle.load(stream)
 
     def get_pickle(self, kind: str, digest: str) -> Optional[Any]:
-        if not self.enabled:
-            return None
         value = self._read_or_discard(
             self.path_for(kind, digest, "pkl"), self._load_pickle
         )
@@ -320,9 +304,6 @@ class ArtifactCache:
         return value
 
     def put_pickle(self, kind: str, digest: str, value: Any) -> None:
-        if not self.enabled:
-            return
-
         def writer(temp_path: Path) -> None:
             with temp_path.open("wb") as stream:
                 pickle.dump(value, stream, protocol=pickle.HIGHEST_PROTOCOL)
@@ -332,8 +313,6 @@ class ArtifactCache:
 
     # -- array payloads (via repro.nn.serialization) --------------------
     def get_arrays(self, kind: str, digest: str) -> Optional[Dict[str, np.ndarray]]:
-        if not self.enabled:
-            return None
         arrays = self._read_or_discard(
             self.path_for(kind, digest, "npz"), load_state_dict
         )
@@ -355,8 +334,6 @@ class ArtifactCache:
         through, so a damaged ``.npz`` can still be healed by a valid ``.pkl``
         sibling (and vice versa a recompute).
         """
-        if not self.enabled:
-            return None
         arrays = self._read_or_discard(
             self.path_for(kind, digest, "npz"), load_state_dict
         )
@@ -399,9 +376,6 @@ class ArtifactCache:
         )
 
     def put_arrays(self, kind: str, digest: str, arrays: Dict[str, np.ndarray]) -> None:
-        if not self.enabled:
-            return
-
         def writer(temp_path: Path) -> Path:
             # save_state_dict appends .npz when the suffix is missing; hand it
             # a name that already carries it so the temp path stays stable.
@@ -411,8 +385,7 @@ class ArtifactCache:
         self.stats.record_store()
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"ArtifactCache(root={str(self.root)!r}, {state})"
+        return f"ArtifactCache(root={str(self.root)!r})"
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +487,9 @@ class ExecutionPlan:
     """The flat DAG of an experiment: every unit, dependency-ordered.
 
     ``eval_units`` are ordered model → building → device (scenarios inside
-    each unit keep the grid order), which is exactly the order the legacy
-    serial loops emitted records in; stitching unit results back together in
-    this order keeps queue-drained output byte-identical to the serial path.
+    each unit keep the grid order), which is exactly the order nested serial
+    loops over the grid emit records in; stitching unit results back together
+    in this order keeps queue-drained output byte-identical to the serial path.
     ``scenario_units`` follow in model → building → device → scenario order.
     """
 
@@ -776,9 +749,10 @@ class UnitMemo:
     Two labels that build the same model therefore share one fit, and a memo
     that serves two runs never hands one run's model to the other.
 
-    :meth:`ExecutionEngine.run` creates one per call and every queue worker
-    one for its lifetime; both pass it to each :func:`execute_unit` call, so
-    nothing memoised outlives the run or worker that built it.  A memoised
+    :func:`repro.api.run_experiment` creates one per in-process run and
+    every queue worker one for its lifetime; both pass it to each
+    :func:`execute_unit` call, so nothing memoised outlives the run or
+    worker that built it.  A memoised
     model carries live training state, so one memo serves one thread.
     """
 
@@ -1156,9 +1130,9 @@ def execute_unit(
 ) -> Dict[str, Any]:
     """Execute one plan unit and return its JSON-ready outcome document.
 
-    The one unit executor: :meth:`ExecutionEngine.run` calls it for every
-    unit of a plan, and every queue worker (:mod:`repro.queue`) for every
-    unit it claims.  Dependencies are *not* re-executed: they come from
+    The one unit executor: :func:`repro.api.run_experiment` calls it for
+    every unit of a plan, and every queue worker (:mod:`repro.queue`) for
+    every unit it claims.  Dependencies are *not* re-executed: they come from
     ``memo`` when an earlier unit of the same run or worker built them, else
     from the content-addressed cache, else from a deterministic recompute
     (slower but bit-identical).  So running units in any
@@ -1202,19 +1176,17 @@ def execute_unit(
 
 def plan_records(
     plan: ExecutionPlan, outcomes: Sequence[Optional[Mapping[str, Any]]]
-) -> "ResultSet":
+) -> ResultSet:
     """Decode the outcome documents of a plan's units into canonical records.
 
     ``outcomes[i]`` is the :func:`execute_unit` document of
     ``plan.all_units()[i]``, or ``None`` for a unit without one (a partially
     collected queue run).  Campaign and train outcomes carry no records; eval
     units give one record per attack point, in plan order, and scenario units
-    one record each after them.  Both the engine and the queue
-    (:func:`repro.queue.collect_results`) decode through here, which is what
-    keeps their result sets identical record for record.
+    one record each after them.  Both :func:`repro.api.run_experiment` and
+    the queue (:func:`repro.queue.collect_results`) decode through here,
+    which is what keeps their result sets identical record for record.
     """
-    from .runner import EvaluationRecord, ResultSet
-
     results = ResultSet()
     for unit, outcome in zip(plan.all_units(), outcomes, strict=True):
         if outcome is None or isinstance(unit, (CampaignUnit, TrainUnit)):
@@ -1244,65 +1216,3 @@ def plan_records(
             )
         )
     return results
-
-
-# ----------------------------------------------------------------------
-# The engine
-# ----------------------------------------------------------------------
-class ExecutionEngine:
-    """Executes an experiment grid in-process as a DAG of cached units.
-
-    :meth:`run` passes every unit of its plan to :func:`execute_unit`, one
-    at a time in :meth:`ExecutionPlan.all_units` order (campaigns, then
-    training, then scoring), with one :class:`UnitMemo` per call that keeps
-    trained models and fitted surrogates in memory across the units that
-    share them and is dropped when the call returns.  This is the ``jobs=1``
-    path of :func:`repro.api.run_experiment`; ``jobs>1`` drains the same
-    plan through queue workers (:mod:`repro.queue`), which call the same
-    executor, and returns identical records.
-
-    Parameters
-    ----------
-    config:
-        Evaluation profile supplying the default grid and all seeds.
-    cache:
-        Anything :meth:`ArtifactCache.coerce` accepts: ``None``/``False``
-        (no caching), ``True`` (default location), a directory path, or an
-        :class:`ArtifactCache` instance.
-    """
-
-    def __init__(
-        self,
-        config: Optional[EvaluationConfig] = None,
-        cache: Union[None, bool, str, Path, ArtifactCache] = None,
-    ) -> None:
-        self.config = config or EvaluationConfig.quick()
-        self.cache = ArtifactCache.coerce(cache)
-
-    def run(
-        self,
-        tasks: Sequence[ModelTask],
-        scenarios: Sequence[AttackScenario],
-        buildings: Optional[Sequence[str]] = None,
-        devices: Optional[Sequence[str]] = None,
-        robustness: Optional[Sequence[ScenarioSpec]] = None,
-    ) -> "ResultSet":
-        """Execute the grid and return records in canonical (serial) order.
-
-        ``robustness`` adds one :class:`ScenarioUnit` per (model, building,
-        device, scenario spec); its records follow the attack-grid records,
-        tagged with the scenario's display name in their ``condition`` field.
-        """
-        buildings = tuple(buildings) if buildings is not None else self.config.buildings
-        devices = tuple(devices) if devices is not None else self.config.devices
-        plan = build_plan(
-            tasks, scenarios, buildings, devices, tuple(robustness or ())
-        )
-        memo = UnitMemo()
-        return plan_records(
-            plan,
-            [
-                execute_unit(unit, self.config, self.cache, memo)
-                for unit in plan.all_units()
-            ],
-        )

@@ -55,8 +55,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +66,7 @@ from ..data.propagation import (
     RSS_FLOOR_DBM,
     correlated_shadowing_field,
 )
-from ..registry import SCENARIOS, make_scenario, register_scenario
+from ..registry import SCENARIOS, ComponentSpec, register_scenario
 from .scenarios import AttackScenario
 
 __all__ = [
@@ -162,79 +161,14 @@ class RobustnessScenario(abc.ABC):
 # ----------------------------------------------------------------------
 # Declarative reference
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(ComponentSpec):
     """Serializable, hashable reference to a registered scenario family.
 
-    ``params`` override the family's constructor defaults; ``seed`` feeds the
-    scenario's deterministic condition draws; ``label`` is the name used in
-    result records (defaults to the registry name), letting one family appear
-    twice under different knobs in the same experiment.
+    A :class:`~repro.registry.ComponentSpec` over the scenario registry;
+    :meth:`build` returns a :class:`RobustnessScenario`.
     """
 
-    name: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-    seed: int = 0
-    label: Optional[str] = None
-
-    @classmethod
-    def create(
-        cls,
-        name: str,
-        params: Optional[Mapping[str, Any]] = None,
-        seed: int = 0,
-        label: Optional[str] = None,
-    ) -> "ScenarioSpec":
-        """Build a spec with the name resolved against the scenario registry."""
-        return cls(
-            name=SCENARIOS.resolve(name),
-            # List-valued knobs (e.g. from a JSON spec file) become tuples so
-            # the spec stays hashable, as the engine's memos rely on.
-            params=tuple(
-                (key, tuple(value) if isinstance(value, list) else value)
-                for key, value in sorted((params or {}).items())
-            ),
-            seed=int(seed),
-            label=label,
-        )
-
-    @classmethod
-    def from_dict(
-        cls, data: Union[str, Mapping[str, Any], "ScenarioSpec"]
-    ) -> "ScenarioSpec":
-        """Build from a mapping, a bare registry name, or pass a spec through."""
-        if isinstance(data, ScenarioSpec):
-            return data
-        if isinstance(data, str):
-            return cls.create(data)
-        return cls.create(
-            name=data["name"],
-            params=dict(data.get("params", {})),
-            seed=data.get("seed", 0),
-            label=data.get("label"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.seed:
-            data["seed"] = self.seed
-        if self.label:
-            data["label"] = self.label
-        return data
-
-    @property
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    @property
-    def display_name(self) -> str:
-        return self.label or self.name
-
-    def build(self) -> RobustnessScenario:
-        """Instantiate the referenced scenario family."""
-        return make_scenario(self.name, seed=self.seed, **self.param_dict)
+    registry = SCENARIOS
 
 
 # ----------------------------------------------------------------------

@@ -1,38 +1,26 @@
-"""Experiment runner: trains localizers and evaluates them under attack.
+"""Evaluation records and the queryable result set every experiment returns.
 
-The runner owns the plumbing every figure/table of the paper needs:
-
-* simulate (or load) the fingerprint campaign for each building,
-* train a localizer on the offline (OP3) database,
-* attack the online fingerprints of each test device under a grid of
-  :class:`~repro.eval.scenarios.AttackScenario` operating points,
-* report localization-error statistics per (model, building, device, scenario).
-
-Non-differentiable victims (KNN, GPC, SANGRIA, WiDeep, ...) are attacked
-through a surrogate-gradient model fitted on the victim's own predictions, as
-described in ``repro.attacks.surrogate``.
+One :class:`EvaluationRecord` is one measured operating point — a
+(model, building, device, scenario) cell and its localization-error
+statistics; a :class:`ResultSet` collects them in canonical plan order.
+:func:`repro.api.run_experiment` and the campaign queue
+(:func:`repro.queue.collect_results`) both decode unit outcomes into these
+through :func:`repro.eval.engine.plan_records`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..attacks.base import GradientProvider, ThreatModel
-from ..attacks.mitm import SignalSpoofingAttack, attack_dataset, replay_survey
-from ..attacks.surrogate import SurrogateGradientModel
-from ..data.campaign import CampaignConfig, LocalizationCampaign, collect_campaign
-from ..data.fingerprint import FingerprintDataset
-from ..data.floorplan import paper_building
-from ..interfaces import ErrorSummary, Localizer
-from ..registry import make_attack
-from .metrics import ErrorStats, error_stats
-from .scenarios import AttackScenario, EvaluationConfig
+from ..interfaces import ErrorSummary
+from .metrics import ErrorStats
+from .scenarios import AttackScenario
 
-__all__ = ["EvaluationRecord", "ResultSet", "ExperimentRunner"]
+__all__ = ["EvaluationRecord", "ResultSet"]
 
 
 def _criterion_matches(actual: object, expected: object) -> bool:
@@ -161,128 +149,3 @@ class ResultSet:
         ``to_records()`` lists compare equal (order included).
         """
         return self.to_rows()
-
-
-class ExperimentRunner:
-    """Coordinates campaigns, model training and attacked evaluation.
-
-    The reference path: ``evaluate_model``/``evaluate_models`` walk the grid
-    with plain nested loops over model factories, with no work units and no
-    on-disk cache.  Declarative specs run through :func:`repro.api.run_experiment`,
-    whose results tests compare against this path record for record.
-    """
-
-    def __init__(self, config: Optional[EvaluationConfig] = None) -> None:
-        self.config = config or EvaluationConfig.quick()
-        self._campaigns: Dict[str, LocalizationCampaign] = {}
-        self._surrogates: Dict[int, SurrogateGradientModel] = {}
-
-    # ------------------------------------------------------------------
-    def campaign(self, building_name: str) -> LocalizationCampaign:
-        """Return (and cache) the simulated campaign for a building."""
-        if building_name not in self._campaigns:
-            building = paper_building(
-                building_name, rp_granularity_m=self.config.rp_granularity_m
-            )
-            self._campaigns[building_name] = collect_campaign(
-                building, CampaignConfig(seed=self.config.campaign_seed)
-            )
-        return self._campaigns[building_name]
-
-    def train(self, factory: Callable[[], Localizer], building_name: str) -> Localizer:
-        """Instantiate and fit a localizer on a building's offline database."""
-        campaign = self.campaign(building_name)
-        model = factory()
-        model.fit(campaign.train)
-        return model
-
-    # ------------------------------------------------------------------
-    def _gradient_provider(
-        self, model: Localizer, campaign: LocalizationCampaign
-    ) -> GradientProvider:
-        """White-box gradient access: native for NN models, surrogate otherwise."""
-        if hasattr(model, "loss_gradient"):
-            return model  # type: ignore[return-value]
-        key = id(model)
-        if key not in self._surrogates:
-            train = campaign.train
-            surrogate = SurrogateGradientModel(
-                num_aps=train.num_aps,
-                num_classes=train.num_classes,
-                epochs=80,
-                seed=self.config.model_seed,
-            )
-            victim_labels = model.predict(train.features)
-            surrogate.fit(train.features, victim_labels)
-            self._surrogates[key] = surrogate
-        return self._surrogates[key]
-
-    def attacked_dataset(
-        self,
-        model: Localizer,
-        dataset: FingerprintDataset,
-        scenario: AttackScenario,
-        campaign: LocalizationCampaign,
-    ) -> FingerprintDataset:
-        """Apply one attack scenario to a test dataset against ``model``."""
-        if scenario.is_clean:
-            return dataset
-        threat = ThreatModel(
-            epsilon=scenario.epsilon,
-            phi_percent=scenario.phi_percent,
-            seed=scenario.seed,
-        )
-        attack = make_attack(scenario.method, threat)
-        if isinstance(attack, SignalSpoofingAttack) and attack.replay_features is None:
-            # The spoofer's counterfeit baseline comes from its own offline
-            # survey of the building, never from the batch under attack.
-            attack.replay_features = replay_survey(campaign.train)
-        victim = self._gradient_provider(model, campaign)
-        return attack_dataset(dataset, attack, victim)
-
-    # ------------------------------------------------------------------
-    def evaluate_model(
-        self,
-        name: str,
-        factory: Callable[[], Localizer],
-        scenarios: Sequence[AttackScenario],
-        buildings: Optional[Sequence[str]] = None,
-        devices: Optional[Sequence[str]] = None,
-    ) -> ResultSet:
-        """Train ``factory()`` per building and evaluate it across the grid."""
-        buildings = tuple(buildings) if buildings is not None else self.config.buildings
-        devices = tuple(devices) if devices is not None else self.config.devices
-        results = ResultSet()
-        for building_name in buildings:
-            campaign = self.campaign(building_name)
-            model = self.train(factory, building_name)
-            for device in devices:
-                test = campaign.test_for(device)
-                for scenario in scenarios:
-                    attacked = self.attacked_dataset(model, test, scenario, campaign)
-                    errors = model.evaluate(attacked)
-                    results.add(
-                        EvaluationRecord(
-                            model=name,
-                            building=building_name,
-                            device=device,
-                            scenario=scenario,
-                            stats=error_stats(errors),
-                        )
-                    )
-        return results
-
-    def evaluate_models(
-        self,
-        factories: Dict[str, Callable[[], Localizer]],
-        scenarios: Sequence[AttackScenario],
-        buildings: Optional[Sequence[str]] = None,
-        devices: Optional[Sequence[str]] = None,
-    ) -> ResultSet:
-        """Evaluate several named models over the same scenario grid."""
-        results = ResultSet()
-        for name, factory in factories.items():
-            results.extend(
-                self.evaluate_model(name, factory, scenarios, buildings, devices).records
-            )
-        return results

@@ -676,10 +676,9 @@ def collect_results(
     """Merge completed unit outcomes into a canonical-order ResultSet.
 
     The outcome documents are decoded by
-    :func:`~repro.eval.engine.plan_records`, the same code
-    :meth:`ExecutionEngine.run` uses, so a fully completed queue run compares
-    byte-identical to a serial :func:`~repro.api.run_experiment` of the same
-    spec.  With ``allow_partial`` units that are not done are silently
+    :func:`~repro.eval.engine.plan_records`, as a serial
+    :func:`~repro.api.run_experiment` decodes its own, so a fully completed
+    queue run compares byte-identical to a serial run of the same spec.  With ``allow_partial`` units that are not done are silently
     omitted (the graceful-degradation view of a run with parked failures);
     otherwise a missing outcome raises :class:`LedgerError`.
     """

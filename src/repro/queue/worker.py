@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from ..eval.engine import ArtifactCache, UnitMemo, execute_unit
 from ..obs import events, trace
 from ..obs.metrics import REGISTRY
-from ..spawn import one_thread_blas
+from ..spawn import spawn
 from .ledger import (
     LEASE_BREAK_GRACE_S,
     STATE_DONE,
@@ -391,14 +391,13 @@ class QueueWorker:
 def _work_entry(
     cache_root: str, run_id: str, options: Dict[str, Any], worker_id: str
 ) -> None:
-    """Top-level process target (must be picklable for multiprocessing)."""
-    cache = ArtifactCache(cache_root)
-    # A spawned worker process starts without a telemetry sink; give it one
-    # under the shared cache root so its spans and lease events are durable
-    # (segments are per-pid, so concurrent workers never interleave).
-    if trace.telemetry_enabled() and events.configured_sink() is None:
-        events.configure_sink(cache.root / "telemetry")
-    ledger = RunLedger.open(cache, run_id)
+    """Top-level process target (must be picklable for multiprocessing).
+
+    Started by :func:`repro.spawn.spawn`, so the worker logs its spans and
+    lease events where the process that called :func:`work` logs its own
+    (segments are per-pid, so concurrent workers never interleave).
+    """
+    ledger = RunLedger.open(ArtifactCache(cache_root), run_id)
     QueueWorker(ledger, worker_id, WorkerOptions.from_dict(options)).run()
 
 
@@ -415,7 +414,8 @@ def work(
     monkeypatch ``execute`` in tests).  With more, worker *processes* are
     spawned — each opens the ledger itself, so this is the same code path as
     N independent hosts pointing at a shared cache directory.  Each starts
-    with a one-thread BLAS pool (:func:`repro.spawn.one_thread_blas`).
+    through :func:`repro.spawn.spawn`: a one-thread BLAS pool, and this
+    process's telemetry settings and event-log directory.
     """
     options = options or WorkerOptions()
     if workers <= 1:
@@ -423,24 +423,13 @@ def work(
         return QueueWorker(ledger, options=options, execute=execute).run()
     if execute is not None:
         raise ValueError("a custom executor cannot cross process boundaries")
-    import multiprocessing
-
-    context = multiprocessing.get_context("spawn")
     procs = [
-        context.Process(
-            target=_work_entry,
-            args=(
-                str(cache.root),
-                run_id,
-                options.as_dict(),
-                f"{default_worker_id()}.{index}",
-            ),
+        spawn(
+            _work_entry,
+            (str(cache.root), run_id, options.as_dict(), f"{default_worker_id()}.{index}"),
         )
         for index in range(workers)
     ]
-    with one_thread_blas():
-        for proc in procs:
-            proc.start()
     for proc in procs:
         proc.join()
     ledger = RunLedger.open(cache, run_id)

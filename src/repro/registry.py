@@ -66,12 +66,13 @@ from __future__ import annotations
 import difflib
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "Registry",
     "RegistryEntry",
     "RegistryError",
+    "ComponentSpec",
     "catalog_document",
     "LOCALIZERS",
     "ATTACKS",
@@ -306,6 +307,96 @@ LINT_RULES = Registry("lint rule", lazy_modules=("repro.analysis.rules",))
 #: fraction of a shadowed route — ``mirror`` (score in the background,
 #: compare on /metrics) or ``split`` (serve real traffic from the candidate).
 ROUTER_POLICIES = Registry("router policy", lazy_modules=("repro.serve.aio.routing",))
+
+
+@dataclass(frozen=True)
+class ComponentSpec:
+    """Serializable, hashable reference to a family in one registry.
+
+    ``params`` override the family's constructor defaults, ``seed`` feeds
+    its deterministic draws, and ``label`` is the name used in result
+    records (defaults to the registry name), letting one family appear twice
+    under different knobs in the same experiment.  A subclass names the
+    registry its names resolve against
+    (:class:`repro.eval.robustness.ScenarioSpec`,
+    :class:`repro.defenses.DefenseSpec`).
+    """
+
+    #: The registry :meth:`create` resolves names against and :meth:`build`
+    #: instantiates from (a class attribute, never a field or a digest input).
+    registry: ClassVar[Registry]
+
+    name: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+    seed: int = 0
+    label: Optional[str] = None
+
+    @classmethod
+    def create(
+        cls,
+        name: str,
+        params: Optional[Mapping[str, Any]] = None,
+        seed: int = 0,
+        label: Optional[str] = None,
+    ) -> "ComponentSpec":
+        """Build a spec with the name resolved against :attr:`registry`."""
+        return cls(
+            name=cls.registry.resolve(name),
+            # List-valued knobs (e.g. from a JSON spec file) become tuples so
+            # the spec stays hashable, as the engine's memos rely on.
+            params=tuple(
+                (key, tuple(value) if isinstance(value, list) else value)
+                for key, value in sorted((params or {}).items())
+            ),
+            seed=int(seed),
+            label=label,
+        )
+
+    @classmethod
+    def from_dict(
+        cls, data: Union[str, Mapping[str, Any], "ComponentSpec"]
+    ) -> "ComponentSpec":
+        """Build from a mapping, a bare registry name, or an existing spec.
+
+        Existing specs are re-resolved rather than passed through, so a
+        hand-constructed spec with a misspelt name still fails fast with a
+        did-you-mean error, and an alias (the defense ``"undefended"``)
+        canonicalises to its registry name (``"none"``).
+        """
+        if isinstance(data, str):
+            return cls.create(data)
+        if isinstance(data, cls):
+            return cls.create(
+                name=data.name, params=dict(data.params), seed=data.seed, label=data.label
+            )
+        return cls.create(
+            name=data["name"],
+            params=dict(data.get("params", {})),
+            seed=data.get("seed", 0),
+            label=data.get("label"),
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        data: Dict[str, Any] = {"name": self.name}
+        if self.params:
+            data["params"] = dict(self.params)
+        if self.seed:
+            data["seed"] = self.seed
+        if self.label:
+            data["label"] = self.label
+        return data
+
+    @property
+    def param_dict(self) -> Dict[str, Any]:
+        return dict(self.params)
+
+    @property
+    def display_name(self) -> str:
+        return self.label or self.name
+
+    def build(self) -> Any:
+        """Instantiate the referenced family."""
+        return self.registry.create(self.name, seed=self.seed, **self.param_dict)
 
 
 def register_localizer(

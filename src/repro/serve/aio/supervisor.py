@@ -18,11 +18,12 @@ non-listening TCP socket is invisible to accept load-balancing, so it
 reserves the number without swallowing connections — and hands that port to
 every worker.
 
-Workers are started via the multiprocessing ``spawn`` context: serving
-processes must not inherit the parent's thread/lock state through ``fork``
-(the gateway and batchers carry live threads and mutexes).  Each starts with
-a one-thread BLAS pool (:func:`repro.spawn.one_thread_blas`), so N workers
-do not each spin a thread on every core.
+Workers are started through :func:`repro.spawn.spawn`: serving processes
+must not inherit the parent's thread/lock state through ``fork`` (the
+gateway and batchers carry live threads and mutexes).  Each starts with a
+one-thread BLAS pool, so N workers do not each spin a thread on every core,
+and with the supervisor's telemetry: its ``http.request`` and
+``serve.batch.flush`` spans land in the supervisor's event log.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import socket
 import time
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from ...spawn import one_thread_blas
+from ...spawn import spawn
 from .routing import RouteSpec
 
 __all__ = ["ServeSupervisor", "serve_workers"]
@@ -99,9 +100,6 @@ class ServeSupervisor:
             [None] * self.workers
         )
         self._reservation: Optional[socket.socket] = None
-        # Never fork a serving parent: workers must start from a clean
-        # interpreter, not from a copy of the supervisor's thread state.
-        self._ctx = multiprocessing.get_context("spawn")
 
     # -- lifecycle ------------------------------------------------------
     def _reserve_port(self) -> None:
@@ -124,15 +122,9 @@ class ServeSupervisor:
             "worker_id": index,
             "app_kwargs": self.app_kwargs,
         }
-        process = self._ctx.Process(
-            target=_worker_entry,
-            args=(config,),
-            name=f"repro-serve-worker-{index}",
-            daemon=True,
+        self._processes[index] = spawn(
+            _worker_entry, (config,), name=f"repro-serve-worker-{index}", daemon=True
         )
-        with one_thread_blas():
-            process.start()
-        self._processes[index] = process
 
     def start(self) -> "ServeSupervisor":
         if self.port == 0:

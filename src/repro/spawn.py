@@ -1,24 +1,33 @@
-"""One BLAS thread per process: for the CLI and the workers the repo spawns.
+"""How the repo starts its worker processes, and the CLI's one-thread BLAS pool.
 
 Queue workers (``repro.queue.work`` with ``workers > 1``) and the serving
-fleet (``repro serve --workers N``) start their children with the
-multiprocessing ``spawn`` method.  Each child's OpenBLAS would otherwise
-start one thread per core and spin them all, so N children on N cores
-oversubscribe the machine N times over.  A child imports numpy while it
-unpickles its target, before any of its own code runs, so the cap must
-already be in the environment it starts with::
+fleet (``repro serve --workers N``) start every child through :func:`spawn`:
+a fresh interpreter (the multiprocessing ``spawn`` method, never ``fork``,
+so no child inherits a copy of the parent's threads and locks) that gets
+two things from its parent.
 
-    with one_thread_blas():
-        process.start()
+* **A one-thread BLAS pool.**  Each child's OpenBLAS would otherwise start
+  one thread per core and spin them all, so N children on N cores
+  oversubscribe the machine N times over.  A child imports numpy while it
+  unpickles its target, before any of its own code runs, so the cap must
+  already be in the environment it starts with (:func:`one_thread_blas`).
+* **The parent's telemetry.**  Telemetry is off in the child when it is off
+  in the parent (``--no-telemetry``, ``REPRO_TELEMETRY=0`` or
+  ``trace.set_enabled(False)``), and the child writes its spans and events
+  to the parent's event-log directory when the parent has configured one
+  (``events.configure_sink``), else nowhere.  The child closes its sink when
+  its target returns, so what it logged is on disk when it exits.
 
-The CLI's own process gets the same rule from :func:`limit_blas_threads`,
-which ``repro.reproduce.main`` calls first.  There numpy's OpenBLAS is
-already loaded, so its pool is resized through the library's own setter.
-Importing ``repro`` as a library changes no process-wide state.
+The CLI's own process gets the same BLAS rule from
+:func:`limit_blas_threads`, which ``repro.reproduce.main`` calls first.
+There numpy's OpenBLAS is already loaded, so its pool is resized through the
+library's own setter.  Importing ``repro`` as a library changes no
+process-wide state.
 
-One rule decides both: OpenBLAS sizes its pool from ``OPENBLAS_NUM_THREADS``
-and, when that is unset, from ``OMP_NUM_THREADS``.  A user who set either
-has chosen the OpenBLAS pool, and the rule leaves it alone.
+One BLAS rule decides both: OpenBLAS sizes its pool from
+``OPENBLAS_NUM_THREADS`` and, when that is unset, from ``OMP_NUM_THREADS``.
+A user who set either has chosen the OpenBLAS pool, and the rule leaves it
+alone.
 """
 
 from __future__ import annotations
@@ -27,11 +36,15 @@ import contextlib
 import ctypes
 import os
 import threading
-from typing import Iterator, List, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "BLAS_THREAD_VARIABLES", "blas_threads", "limit_blas_threads", "one_thread_blas",
-    "set_blas_threads",
+    "set_blas_threads", "spawn",
 ]
 
 #: The variables that size OpenBLAS's (and any OpenMP runtime's) thread pool.
@@ -76,6 +89,55 @@ def one_thread_blas() -> Iterator[None]:
         finally:
             for name in added:
                 os.environ.pop(name, None)
+
+
+def _parent_telemetry() -> Tuple[bool, Optional[str]]:
+    """Whether telemetry is on here, and the event-log directory if one is set."""
+    from .obs import events, trace
+
+    if not trace.telemetry_enabled():
+        return False, None
+    sink = events.configured_sink()
+    return True, str(sink.root) if sink is not None else None
+
+
+def _child_main(
+    telemetry: Tuple[bool, Optional[str]], target: Callable[..., Any], args: Tuple
+) -> None:
+    """Entry point of a :func:`spawn` child: the parent's telemetry, then ``target``."""
+    from .obs import events, trace
+
+    enabled, log_dir = telemetry
+    trace.set_enabled(enabled)
+    if enabled and log_dir is not None:
+        events.configure_sink(Path(log_dir))
+    try:
+        target(*args)
+    finally:
+        events.configure_sink(None)
+
+
+def spawn(
+    target: Callable[..., Any], args: Sequence[Any] = (), **process_kwargs: Any
+) -> "BaseProcess":
+    """Start ``target(*args)`` in a fresh interpreter; returns the started process.
+
+    The child gets a one-thread BLAS pool and this process's telemetry (see
+    the module docstring).  ``target`` and ``args`` must be picklable;
+    ``process_kwargs`` (``name``, ``daemon``) go to the ``Process``.
+    """
+    # Imported here: the CLI imports this module at start, and only the
+    # commands that start workers need multiprocessing.
+    import multiprocessing
+
+    process = multiprocessing.get_context("spawn").Process(
+        target=_child_main,
+        args=(_parent_telemetry(), target, tuple(args)),
+        **process_kwargs,
+    )
+    with one_thread_blas():
+        process.start()
+    return process
 
 
 def _openblas_function(library, name: str, restype, *argtypes):

@@ -164,6 +164,34 @@ def test_r2_ignores_behavioural_uses_and_none_guards(tmp_path):
     assert report.findings == []
 
 
+def test_r2_checks_the_fields_a_spec_inherits(tmp_path):
+    # ScenarioSpec and DefenseSpec declare no fields of their own: they
+    # inherit them from one dataclass base, with the registry a ClassVar.
+    report = lint_tree(
+        tmp_path,
+        {
+            "eval/keys.py": """\
+    from dataclasses import dataclass
+    from typing import ClassVar
+
+    @dataclass(frozen=True)
+    class ComponentSpec:
+        registry: ClassVar[object]
+        name: str
+        seed: int = 0
+
+    class ScenarioSpec(ComponentSpec):
+        registry = None
+
+    def _scenario_payload(spec: ScenarioSpec) -> dict:
+        return {"name": spec.name}
+    """
+        },
+        rules=["R2"],
+    )
+    assert [f.message.split(" ")[0] for f in report.findings] == ["ScenarioSpec.seed"]
+
+
 def test_r2_ignores_functions_that_never_feed_a_digest(tmp_path):
     report = lint_tree(
         tmp_path,

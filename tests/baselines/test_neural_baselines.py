@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BASELINE_REGISTRY,
     AdvLocLocalizer,
     ANVILLocalizer,
     CNNLocalizer,
@@ -16,13 +15,13 @@ from repro.baselines import (
     WiDeepLocalizer,
 )
 from repro.interfaces import DifferentiableLocalizer
-from repro.registry import make_localizer
+from repro.registry import LOCALIZERS, make_localizer
 
 
 class TestRegistry:
     def test_contains_paper_baselines(self):
         for name in ("KNN", "GPC", "DNN", "CNN", "AdvLoc", "ANVIL", "SANGRIA", "WiDeep"):
-            assert name in BASELINE_REGISTRY
+            assert name in LOCALIZERS.names(tag="baseline")
 
     def test_make_localizer_passes_kwargs(self):
         model = make_localizer("DNN", epochs=5)

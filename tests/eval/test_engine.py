@@ -24,7 +24,6 @@ import pytest
 import repro.eval.engine
 import repro.queue
 from repro.api import ExperimentSpec, LocalizationService, ModelSpec, run_experiment
-from repro.eval import ExperimentRunner
 from repro.eval.engine import (
     ArtifactCache,
     ModelTask,
@@ -35,6 +34,8 @@ from repro.eval.engine import (
     train_localizer,
 )
 from repro.eval.scenarios import AttackScenario, EvaluationConfig
+
+from oracle import ExperimentRunner, spec_factories
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ class TestDeterminism:
         config = quick_spec.config()
         runner = ExperimentRunner(config)
         legacy = runner.evaluate_models(
-            quick_spec.resolve_factories(config),
+            spec_factories(quick_spec, config),
             quick_spec.resolve_scenarios(config),
             buildings=quick_spec.buildings,
             devices=quick_spec.devices,
@@ -253,10 +254,12 @@ class TestArtifactCache:
         with pytest.raises(FileNotFoundError):
             cache.export("batch", "ef" * 32, tmp_path / "missing")
 
-    def test_disabled_cache_stores_nothing(self, tmp_path):
-        cache = ArtifactCache(tmp_path, enabled=False)
-        cache.put_pickle("thing", "ef" * 32, 1)
-        assert cache.get_pickle("thing", "ef" * 32) is None
+    def test_disabled_cache_stores_nothing(self, tmp_path, monkeypatch):
+        # cache=None (or False) is the one way to run without a cache.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert ArtifactCache.coerce(None) is None
+        assert ArtifactCache.coerce(False) is None
+        run_experiment(TINY_SPEC, cache=False)
         assert not any(tmp_path.iterdir())
 
     def test_env_override(self, tmp_path, monkeypatch):
@@ -399,7 +402,7 @@ class TestRunScopedMemo:
         )
         config = spec.config()
         reference = ExperimentRunner(config).evaluate_models(
-            spec.resolve_factories(config),
+            spec_factories(spec, config),
             spec.resolve_scenarios(config),
             buildings=spec.buildings,
             devices=spec.devices,

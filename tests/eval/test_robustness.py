@@ -15,6 +15,8 @@ import pytest
 from repro.api import ExperimentSpec, run_experiment
 from repro.attacks import SignalSpoofingAttack, ThreatModel, replay_survey
 from repro.data import RSS_FLOOR_DBM
+from repro.defenses import DefenseSpec
+from repro.eval.engine import _canonical
 from repro.eval.robustness import (
     DEFAULT_SCENARIOS,
     APOutageScenario,
@@ -68,6 +70,26 @@ class TestScenarioSpec:
         assert hash(spec) is not None
         assert spec.param_dict == {"knob": (1, 2)}
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_from_dict_revalidates_existing_specs(self):
+        """Hand-built specs are re-resolved, not passed through unchecked."""
+        with pytest.raises(KeyError, match="unknown scenario"):
+            ScenarioSpec.from_dict(ScenarioSpec(name="drfit"))
+        assert ScenarioSpec.from_dict(ScenarioSpec(name="OUTAGE")).name == "ap-outage"
+
+    def test_digest_form_is_the_four_reference_fields(self):
+        # The registry is a class attribute, so cache keys see only the
+        # fields a scenario (or defense) reference has always had.
+        spec = ScenarioSpec.create("drift", params={"shadow_drift_db": 1.5}, seed=7)
+        assert _canonical(spec) == {
+            "name": "drift",
+            "params": [["shadow_drift_db", 1.5]],
+            "seed": 7,
+            "label": None,
+        }
+        assert _canonical(DefenseSpec.create("curriculum", seed=2)) == {
+            "name": "curriculum", "params": [], "seed": 2, "label": None,
+        }
 
     def test_display_name_defaults_to_family(self):
         assert ScenarioSpec.create("drift").display_name == "drift"

@@ -291,9 +291,14 @@ class TestShapes:
         gradcheck(lambda x: x[index], data)
 
     @settings(max_examples=15, deadline=None)
-    @given(small_arrays(min_dims=2, max_dims=2), small_arrays(min_dims=2, max_dims=2))
-    def test_concatenate(self, a, b):
-        assume(a.shape[1] == b.shape[1])
+    @given(small_arrays(min_dims=2, max_dims=2), st.data())
+    def test_concatenate(self, a, draw):
+        # b shares a's column count by construction: filtering independent
+        # draws for it trips hypothesis' filter_too_much health check.
+        rows = draw.draw(st.integers(min_value=1, max_value=4))
+        b = draw.draw(
+            arrays(dtype=np.float64, shape=(rows, a.shape[1]), elements=moderate_floats)
+        )
         gradcheck(lambda x, y: Tensor.concatenate([x, y], axis=0), a, b)
 
     @settings(max_examples=15, deadline=None)

@@ -7,20 +7,23 @@ import json
 import numpy as np
 import pytest
 
+import repro.eval.engine
 from repro.api import (
     ExperimentSpec,
     LocalizationService,
     ModelSpec,
     default_model_params,
-    model_factory,
+    model_params,
     run_experiment,
 )
 from repro.baselines import KNNLocalizer
-from repro.eval import AttackScenario, EvaluationConfig, ExperimentRunner, fig6_spec
-from repro.eval.engine import ExecutionEngine
+from repro.eval import AttackScenario, EvaluationConfig, fig6_spec
 from repro.eval.metrics import error_stats
 from repro.eval.runner import EvaluationRecord, ResultSet
 from repro.interfaces import ErrorSummary
+from repro.registry import make_localizer
+
+from oracle import ExperimentRunner
 
 #: A deliberately tiny grid so the end-to-end tests stay fast.
 SMALL_CONFIG = EvaluationConfig(
@@ -49,11 +52,12 @@ class TestModelSpec:
 
     def test_factory_merges_profile_defaults_and_overrides(self):
         config = SMALL_CONFIG
-        dnn = model_factory(ModelSpec("DNN"), config)()
+        dnn = make_localizer("DNN", **model_params(ModelSpec("DNN"), config))
         assert dnn.epochs == config.baseline_epochs
         assert dnn.seed == config.model_seed
-        dnn = model_factory(ModelSpec("DNN", params={"epochs": 2}), config)()
-        assert dnn.epochs == 2
+        overridden = model_params(ModelSpec("DNN", params={"epochs": 2}), config)
+        assert overridden == {"epochs": 2, "seed": config.model_seed}
+        assert make_localizer("DNN", **overridden).epochs == 2
 
     def test_default_params_cover_calloc(self):
         params = default_model_params("CALLOC", SMALL_CONFIG)
@@ -121,22 +125,24 @@ class TestExperimentSpec:
 
     def test_validate_rejects_unknown_model(self):
         with pytest.raises(KeyError):
-            ExperimentSpec(models=("ResNet",)).validate()
+            ExperimentSpec(models=("ResNet",))
 
     def test_duplicate_labels_rejected(self):
         spec = ExperimentSpec(models=("KNN", "KNN"))
         with pytest.raises(ValueError, match="duplicate model label"):
-            spec.resolve_factories(SMALL_CONFIG)
+            spec.resolve_model_tasks(SMALL_CONFIG)
 
     def test_empty_models_rejected(self):
         with pytest.raises(ValueError, match="no models"):
-            ExperimentSpec().resolve_factories(SMALL_CONFIG)
+            ExperimentSpec().resolve_model_tasks(SMALL_CONFIG)
 
     def test_fig6_spec_round_trips_and_resolves(self):
         spec = fig6_spec()
         assert ExperimentSpec.from_json(spec.to_json()) == spec
-        factories = spec.resolve_factories(SMALL_CONFIG)
-        assert list(factories) == ["CALLOC", "AdvLoc", "SANGRIA", "ANVIL", "WiDeep"]
+        tasks = spec.resolve_model_tasks(SMALL_CONFIG)
+        assert [task.label for task in tasks] == [
+            "CALLOC", "AdvLoc", "SANGRIA", "ANVIL", "WiDeep"
+        ]
 
 
 class TestRunSpec:
@@ -155,16 +161,17 @@ class TestRunSpec:
             assert got.stats == expected.stats
 
     def test_run_experiment_uses_spec_profile(self, monkeypatch):
-        captured = {}
+        configs = []
 
-        def fake_run(self, *args, **kwargs):
-            captured["config"] = self.config
-            return ResultSet()
+        def fake_execute(unit, config, cache, memo):
+            configs.append(config)
+            return None  # plan_records skips a unit without an outcome
 
-        monkeypatch.setattr(ExecutionEngine, "run", fake_run)
+        monkeypatch.setattr(repro.eval.engine, "execute_unit", fake_execute)
         spec = ExperimentSpec(models=("KNN",), profile="standard")
-        run_experiment(spec)
-        assert captured["config"] == EvaluationConfig.standard()
+        assert len(run_experiment(spec)) == 0
+        assert configs
+        assert all(config == EvaluationConfig.standard() for config in configs)
 
 
 class TestResultSetHelpers:

@@ -7,7 +7,7 @@ import pytest
 from repro.attacks import ThreatModel
 from repro.attacks.fgsm import FGSMAttack
 from repro.attacks.mitm import SignalManipulationAttack, SignalSpoofingAttack
-from repro.baselines import BASELINE_REGISTRY, KNNLocalizer
+from repro.baselines import KNNLocalizer
 from repro.core import CALLOC
 from repro.registry import (
     ATTACKS,
@@ -117,14 +117,6 @@ class TestRegistryMechanics:
 
 
 class TestLegacyShims:
-    def test_baseline_registry_dict_still_matches(self):
-        assert set(BASELINE_REGISTRY) == {
-            "KNN", "NaiveBayes", "GPC", "DNN", "CNN",
-            "AdvLoc", "ANVIL", "SANGRIA", "WiDeep",
-        }
-        for name, factory in BASELINE_REGISTRY.items():
-            assert LOCALIZERS.get(name) is factory
-
     def test_make_localizer_builds_registered_baselines(self):
         model = make_localizer("KNN", k=7)
         assert isinstance(model, KNNLocalizer)

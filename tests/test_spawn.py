@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.spawn import BLAS_THREAD_VARIABLES, blas_threads, one_thread_blas, set_blas_threads
+from repro.spawn import BLAS_THREAD_VARIABLES, blas_threads, set_blas_threads, spawn
 
 
 def _record_environment(path: str) -> None:
@@ -23,11 +22,7 @@ def _record_environment(path: str) -> None:
 
 def _spawned_environment(tmp_path) -> dict:
     path = tmp_path / "environment.json"
-    process = multiprocessing.get_context("spawn").Process(
-        target=_record_environment, args=(str(path),)
-    )
-    with one_thread_blas():
-        process.start()
+    process = spawn(_record_environment, (str(path),))
     process.join(timeout=60)
     assert not process.is_alive() and process.exitcode == 0
     return json.loads(path.read_text())
