@@ -1,21 +1,22 @@
 """Process-wide metrics registry: Counter / Gauge / Histogram with labels.
 
 One :class:`MetricsRegistry` is the single backing store for every stat the
-system exposes: gateway request/latency/guard counters, MicroBatcher batch
-sizes and queue depth, shadow/canary arm deltas, engine cache hits and span
-timings, queue worker lease/retry/heartbeat counts.  The legacy stat
-structures (``EndpointStats``, ``BatchStats``, ``ShadowStats``,
-``CacheStats``) are thin views over registry series, so their JSON documents
-stay byte-compatible while ``snapshot()`` / :mod:`repro.obs.prom` expose the
-same numbers in standard form.
+system exposes: per-endpoint request/latency/guard counters (one count per
+served request, recorded by ``ServingApp``), gateway loads, evictions and
+promotions, MicroBatcher flush sizes and queue depth, shadow/canary arm
+deltas, engine cache hits and span timings, queue worker
+lease/retry/heartbeat counts.  The stat structures (``EndpointStats``,
+``BatchStats``, ``ShadowStats``, ``CacheStats``) are thin views over
+registry series, so their JSON documents and ``snapshot()`` /
+:mod:`repro.obs.prom` show the same numbers.
 
 Design points:
 
 * **Instantiable.** :data:`REGISTRY` is the process-wide default (engine,
   queue, spans), but components that need isolated counting — every
-  ``ServingApp`` owns one registry shared by its gateway, batchers and
-  routes — create their own.  Two gateways in one test process must not see
-  each other's requests.
+  ``ServingApp`` owns one registry shared by its endpoint stats, gateway,
+  batchers and routes — create their own.  Two apps in one test process
+  must not see each other's requests.
 * **Lock-guarded.** One lock per metric guards both the series map and
   every series mutation; instruments are safe to share across server
   threads, queue-worker threads and asyncio callbacks.

@@ -650,25 +650,27 @@ def _cache_option(args: argparse.Namespace) -> object:
     return cache_dir if cache_dir is not None else True
 
 
-def _setup_telemetry(args: argparse.Namespace) -> None:
+def _setup_telemetry(args: argparse.Namespace) -> bool:
     """Apply ``--no-telemetry`` and install the durable event sink.
 
     Work-performing commands (run/artefact/queue/serve) get their spans and
     events persisted under ``<cache root>/telemetry``; read-only commands
-    leave the sink unconfigured so they never write to the cache.
+    leave the sink unconfigured so they never write to the cache.  Returns
+    whether a sink was installed.
     """
     from .obs import events, trace
 
     if getattr(args, "no_telemetry", False):
         trace.set_enabled(False)
-        return
+        return False
     if not trace.telemetry_enabled():
-        return
+        return False
     from .eval.engine import default_cache_dir
 
     cache_dir = getattr(args, "cache_dir", None)
     root = Path(cache_dir).expanduser() if cache_dir is not None else default_cache_dir()
     events.configure_sink(root / "telemetry")
+    return True
 
 
 def _telemetry_dir(args: argparse.Namespace) -> Path:
@@ -1277,12 +1279,26 @@ def main(argv: Optional[list] = None) -> int:
     The process first gets the one-thread BLAS pool its spawned workers get
     (:func:`repro.spawn.limit_blas_threads`): a second OpenBLAS thread per
     core doubled the CPU time of ``artefact all`` and saved no wall time.
+    A work command's event sink is closed when the command ends: the sink
+    appends what it queued every 50 ms, and closing it appends the rest
+    before the process exits.
     """
     limit_blas_threads()
     args = build_parser().parse_args(argv)
     command = getattr(args, "command", None)
-    if command in ("artefact", "run", "queue", "serve"):
-        _setup_telemetry(args)
+    if command in ("artefact", "run", "queue", "serve") and _setup_telemetry(args):
+        from .obs import events
+
+        try:
+            return _run_command(args)
+        finally:
+            events.configure_sink(None)
+    return _run_command(args)
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Dispatch the parsed subcommand; returns its exit code."""
+    command = getattr(args, "command", None)
     if command == "obs":
         try:
             return _cmd_obs(args)

@@ -11,16 +11,18 @@ localizing live fingerprints at serving scale:
   ``promote`` turn anonymous cache entries into named deployable models
   (``"calloc@prod"``).
 * :mod:`repro.serve.gateway` — :class:`Gateway`, the multi-tenant router
-  mapping endpoints to loaded services with lazy load-on-first-request, LRU
-  eviction and per-endpoint request/latency stats.
+  mapping endpoints to loaded services with lazy, single-flight
+  load-on-first-request, version pinning and LRU eviction.
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, a throughput-oriented
   executor that coalesces requests from many callers into one batched
   ``localize`` call (a greedy flusher: whatever queued while the last batch
   computed, up to ``max_batch`` fingerprints) with bit-identical results.
 * :mod:`repro.serve.http` — :class:`ServingApp`, the application behind
   the ``repro serve`` API (``POST /v1/localize``, ``GET /v1/models``,
-  ``/healthz``, ``/metrics``): gateway, micro-batchers, shadow routing and
-  HTTP accounting; plus the keep-alive :class:`ServiceClient`.
+  ``/healthz``, ``/metrics``): gateway, micro-batchers, shadow routing, the
+  per-endpoint request stats (:class:`EndpointStats`, one count per request
+  whether batched or not) and HTTP accounting; plus the keep-alive
+  :class:`ServiceClient`.
 * :mod:`repro.serve.aio` — the HTTP front end: asyncio keep-alive/
   pipelined HTTP with binary body codecs, ``SO_REUSEPORT`` multi-process
   workers, manifest-watch hot promote/rollback, and deterministic
@@ -41,8 +43,8 @@ Quickstart::
 """
 
 from .batching import BatchStats, MicroBatcher
-from .gateway import EndpointStats, Gateway
-from .http import ServiceClient, ServingApp
+from .gateway import Gateway
+from .http import EndpointStats, ServiceClient, ServingApp
 from .store import ModelStore, ModelVersion, StoreError
 
 __all__ = [

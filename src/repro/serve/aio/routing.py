@@ -290,7 +290,7 @@ class _ArmStats:
         self._errors.inc()
 
     def as_dict(self) -> Dict[str, Any]:
-        from ..gateway import percentile
+        from ..gateway import _ms, percentile
 
         window = list(self.latencies)
         fingerprints = self.fingerprints
@@ -308,16 +308,12 @@ class _ArmStats:
         }
 
 
-def _ms(seconds: Optional[float]) -> Optional[float]:
-    return round(seconds * 1000.0, 4) if seconds is not None else None
-
-
 class ShadowStats:
     """Paired primary-vs-shadow outcomes of one shadowed endpoint.
 
     Mirrored requests are scored by *both* arms, so the comparison is paired:
     identical request streams, differing only in the model version.  Windows
-    are bounded (like :class:`~repro.serve.gateway.EndpointStats`) so a
+    are bounded (like :class:`~repro.serve.http.EndpointStats`) so a
     long-lived canary cannot grow memory without limit.  Thread-safe — the
     shadow arm records from background tasks/threads.
     """

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 import urllib.parse
 from concurrent.futures import Future
@@ -121,11 +122,6 @@ class AioServer:
             self._handle_connection, self.host, self.port, **kwargs
         )
         self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
     async def aclose(self) -> None:
         if self._server is not None:
@@ -390,9 +386,10 @@ async def _run_server(
     port: int,
     reuse_port: bool,
     announce: bool,
+    stop: asyncio.Event,
     started: Optional["Future[Tuple[AioServer, asyncio.AbstractEventLoop]]"] = None,
-    stop: Optional[asyncio.Event] = None,
 ) -> None:
+    """Serve until ``stop`` is set or the task is cancelled, then drain."""
     server = AioServer(app, host=host, port=port, reuse_port=reuse_port)
     try:
         await server.start()
@@ -408,11 +405,8 @@ async def _run_server(
         print(f"  store: {app.gateway.store.root}")
         print(f"  content types: {', '.join(protocol.supported_content_types())}")
     try:
-        if stop is not None:
-            async with server._server:  # serve until told to stop
-                await stop.wait()
-        else:
-            await server.serve_forever()
+        async with server._server:  # serve until told to stop
+            await stop.wait()
     except asyncio.CancelledError:
         pass
     finally:
@@ -429,10 +423,23 @@ def serve_aio(
     worker_id: Optional[int] = None,
     **app_kwargs,
 ) -> None:
-    """Blocking single-process server behind ``repro serve``."""
+    """Blocking single-process server behind ``repro serve``.
+
+    SIGTERM stops it as Ctrl-C does: the server closes, the app drains, and
+    the call returns, so the caller's own clean-up runs (a supervised
+    worker closes its telemetry sink) instead of the process dying on the
+    signal.  Called off the main thread, SIGTERM keeps its default action.
+    """
     app = ServingApp(store, routes=routes, worker_id=worker_id, **app_kwargs)
+
+    async def main() -> None:
+        stop = asyncio.Event()
+        if threading.current_thread() is threading.main_thread():
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
+        await _run_server(app, host, port, reuse_port, announce, stop)
+
     try:
-        asyncio.run(_run_server(app, host, port, reuse_port, announce))
+        asyncio.run(main())
     except KeyboardInterrupt:
         pass
 
@@ -475,8 +482,8 @@ class AioServerThread:
             self._requested_port,
             reuse_port=False,
             announce=False,
-            started=self._started,
             stop=self._stop,
+            started=self._started,
         )
 
     def start(self) -> "AioServerThread":

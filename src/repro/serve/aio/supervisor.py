@@ -213,12 +213,22 @@ class ServeSupervisor:
             self.stop()
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Stop the fleet within ``timeout`` seconds.
+
+        Each worker gets SIGTERM, on which it drains, closes its telemetry
+        sink and exits; one still running at the deadline is killed, so a
+        stuck drain cannot leave a fleet member bound to the port.
+        """
         for process in self._processes:
             if process is not None and process.is_alive():
                 process.terminate()
+        deadline = time.monotonic() + timeout
         for process in self._processes:
             if process is not None:
-                process.join(timeout=timeout)
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
+                if process.is_alive():
+                    process.kill()
+                    process.join()
         if self._reservation is not None:
             self._reservation.close()
             self._reservation = None

@@ -22,7 +22,9 @@ The batcher is generic over the flush target: pass
 ``service.localize`` for a single model or
 ``functools.partial(gateway.localize, endpoint)`` for one gateway endpoint
 (batches must never mix endpoints — different models disagree on feature
-dimensionality and semantics).
+dimensionality and semantics).  It counts submissions and flushes
+(:class:`BatchStats`); a request's outcome and latency are its caller's to
+count, which :class:`~repro.serve.http.ServingApp` does once per request.
 """
 
 from __future__ import annotations
@@ -140,24 +142,23 @@ class MicroBatcher:
         The flusher stops taking queued requests once this many fingerprints
         are taken (a single request larger than ``max_batch`` still flushes
         as one batch — requests are never split).
+
+    A flush calls ``localize_fn`` once on the concatenated batch.  If that
+    call raises, each request of the batch is retried alone through
+    ``localize_fn``, in arrival order, so each caller gets its own result
+    or its own error.
     """
 
     def __init__(
         self,
         localize_fn: Callable[[np.ndarray], "LocalizationResult"],
         max_batch: int = 64,
-        batch_fn: Optional[Callable[[np.ndarray], "LocalizationResult"]] = None,
         registry: Optional[MetricsRegistry] = None,
         endpoint: str = "",
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.localize_fn = localize_fn
-        #: Function used for combined batch flushes.  A failed batch flush is
-        #: retried per request through ``localize_fn``, so callers whose
-        #: backend keeps failure metrics (the gateway) can pass a
-        #: stats-suppressed variant here to avoid counting each failure twice.
-        self.batch_fn = batch_fn if batch_fn is not None else localize_fn
         self.max_batch = int(max_batch)
         self.stats = BatchStats(registry=registry, endpoint=endpoint)
         self._queue_depth = self.stats.registry.gauge(
@@ -230,7 +231,7 @@ class MicroBatcher:
     def _flush(self, batch: List[_Pending]) -> None:
         try:
             features = np.concatenate([item.features for item in batch], axis=0)
-            result = self.batch_fn(features)
+            result = self.localize_fn(features)
         except Exception:
             # One bad request (e.g. a mismatched fingerprint width) must
             # neither kill the flusher thread nor fail its batch-mates:

@@ -16,9 +16,13 @@ Endpoints
 ``GET /healthz``
     Liveness probe: status, version, uptime, model count.
 ``GET /metrics``
-    Gateway per-endpoint request counters and latency percentiles, plus
-    per-endpoint micro-batching and shadow stats (``?format=prometheus``
-    renders the text exposition instead).
+    Per-endpoint request counters and latency percentiles under
+    ``gateway.endpoints``: one count per localize request, under the
+    endpoint it asked for, timed from where it enters :class:`ServingApp`
+    to its answer (the batch wait included), whether or not it was
+    coalesced into a bigger batch.  Next to them the gateway's routing and
+    LRU state, per-endpoint micro-batching and shadow stats
+    (``?format=prometheus`` renders the text exposition instead).
 
 :class:`ServingApp` is everything behind the wire; the asyncio front end in
 :mod:`repro.serve.aio.server` is its transport.
@@ -37,6 +41,7 @@ import http.client
 import threading
 import time
 import urllib.parse
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Set, Union
@@ -58,8 +63,8 @@ from .aio.routing import (
     parse_route_value,
 )
 from .batching import MicroBatcher
-from .gateway import Gateway
-from .store import ModelStore
+from .gateway import Gateway, _ms, percentile
+from .store import ModelStore, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover
     import asyncio
@@ -69,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # The coroutines below import asyncio on first use: ``import repro`` loads
 # this module, and code that never serves should not pay for the event loop.
 
-__all__ = ["ConnectionMetrics", "ServingApp", "ServiceClient"]
+__all__ = ["ConnectionMetrics", "EndpointStats", "ServingApp", "ServiceClient"]
 
 #: The ``transport`` label of the HTTP series.  One front end is left, but the
 #: label is part of the ``/metrics`` and Prometheus format.
@@ -122,6 +127,93 @@ def _flag_count(result: Any) -> int:
     return int(flags.sum()) if flags is not None else 0
 
 
+#: Recent request latencies each endpoint keeps for its exact p50/p99/max
+#: (bounds ``/metrics`` memory; the counters see every request).
+LATENCY_WINDOW = 1024
+
+
+class EndpointStats:
+    """Request counters and latency stats of one served endpoint.
+
+    :class:`ServingApp` records each request into it once (:meth:`record`),
+    from executor threads and the event loop alike.  The counters are
+    registry series (``repro_endpoint_*`` labeled by endpoint), so
+    ``as_dict()`` and the Prometheus exposition show the same numbers.  The
+    latency *window* (exact nearest-rank p50/p99 over the last
+    :data:`LATENCY_WINDOW` requests) stays local — fixed histogram buckets
+    cannot reproduce it.
+    """
+
+    def __init__(self, registry: MetricsRegistry, endpoint: str) -> None:
+        def series(metric, name: str, help: str):
+            return metric(name, help, ("endpoint",)).labels(endpoint=endpoint)
+
+        counter = registry.counter
+        self._requests = series(counter, "repro_endpoint_requests_total",
+                                "Requests served per endpoint")
+        self._fingerprints = series(counter, "repro_endpoint_fingerprints_total",
+                                    "Fingerprints scored per endpoint")
+        self._errors = series(counter, "repro_endpoint_errors_total",
+                              "Failed requests per endpoint")
+        self._flagged = series(counter, "repro_endpoint_guard_flagged_total",
+                               "Fingerprints the inference guard flagged as adversarial")
+        self._rejected = series(counter, "repro_endpoint_guard_rejected_total",
+                                "Requests an enforcing guard rejected (HTTP 403)")
+        self._latency = series(registry.histogram, "repro_endpoint_latency_seconds",
+                               "Request latency per endpoint")
+        self.latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self.last_request_unix: Optional[float] = None
+        self._lock = threading.Lock()
+
+    def record(
+        self, seconds: float, result: Any = None, error: Optional[Exception] = None
+    ) -> None:
+        """One request's outcome: its result, or the error it raised.
+
+        A guard rejection counts its flagged fingerprints and one rejection,
+        not an error.
+        """
+        if isinstance(error, GuardRejectedError):
+            self._flagged.inc(len(error.flagged_indices))
+            self._rejected.inc()
+            return
+        if error is not None:
+            self._errors.inc()
+            return
+        flagged = _flag_count(result)
+        if flagged:
+            self._flagged.inc(flagged)
+        self._requests.inc()
+        self._fingerprints.inc(len(result))
+        self._latency.observe(seconds)
+        with self._lock:
+            self.latencies.append(seconds)
+            self.last_request_unix = time.time()
+
+    def as_dict(self) -> Dict[str, Any]:
+        with self._lock:
+            window = list(self.latencies)
+            last_request_unix = self.last_request_unix
+        requests = int(self._requests.value)
+        mean_ms = self._latency.sum / requests * 1000.0 if requests else None
+        return {
+            "requests": requests,
+            "fingerprints": int(self._fingerprints.value),
+            "errors": int(self._errors.value),
+            "guard": {
+                "flagged": int(self._flagged.value),
+                "rejected": int(self._rejected.value),
+            },
+            "latency_ms": {
+                "mean": round(mean_ms, 4) if mean_ms is not None else None,
+                "p50": _ms(percentile(window, 50.0)),
+                "p99": _ms(percentile(window, 99.0)),
+                "max": _ms(max(window) if window else None),
+            },
+            "last_request_unix": last_request_unix,
+        }
+
+
 class ServingApp:
     """The serving application behind the HTTP front end (and the benchmarks).
 
@@ -131,7 +223,9 @@ class ServingApp:
     compares against.  :meth:`localize` is the synchronous in-process path;
     the front end awaits :meth:`localize_document`, which adds shadow
     routing and runs blocking store I/O on the app's executor so the event
-    loop never blocks.
+    loop never blocks.  Both paths record each request once in the
+    :class:`EndpointStats` of the endpoint it asked for, when its answer or
+    error comes back, batched or not.
 
     ``store`` may be a :class:`ModelStore` or a store root path.  ``routes``
     values may be plain store refs (``"knn@prod"``), the canary grammar
@@ -183,6 +277,7 @@ class ServingApp:
         self.worker_id = worker_id
         self.started_unix = time.time()
         self._batchers: Dict[str, MicroBatcher] = {}
+        self._endpoint_stats: Dict[str, EndpointStats] = {}
         self._lock = threading.Lock()
         # Runs blocking store I/O and document builders off the event loop.
         self._executor = ThreadPoolExecutor(
@@ -192,9 +287,9 @@ class ServingApp:
         self.connection_metrics = ConnectionMetrics(self.registry)
         # HTTP-layer accounting: requests are counted against the endpoint
         # *they asked for*, before model resolution, so unknown endpoints
-        # show up in per-endpoint error rates (the gateway deliberately never
-        # creates stats entries for names it cannot resolve).  Cardinality is
-        # capped by the registry's per-metric series limit.
+        # show up in per-endpoint error rates (the endpoint stats
+        # deliberately never create entries for names that do not resolve).
+        # Cardinality is capped by the registry's per-metric series limit.
         self._http_requests = self.registry.counter(
             "repro_http_requests_total",
             "HTTP requests received, by transport and requested endpoint",
@@ -248,26 +343,49 @@ class ServingApp:
                 batcher = MicroBatcher(
                     partial(self.gateway.localize, endpoint),
                     max_batch=self.max_batch,
-                    # A failed combined flush degrades to per-request calls,
-                    # which then record the user-visible error/guard stats;
-                    # the probe must not pre-count them.
-                    batch_fn=partial(
-                        self.gateway.localize, endpoint, suppress_error_stats=True
-                    ),
                     registry=self.registry,
                     endpoint=endpoint,
                 )
                 self._batchers[endpoint] = batcher
             return batcher
 
+    def _count(
+        self,
+        endpoint: str,
+        start: float,
+        result: Optional["LocalizationResult"] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Record one request's outcome under the endpoint it asked for.
+
+        An unknown endpoint (:class:`StoreError`) leaves no entry: a fuzzing
+        client must not grow ``/metrics`` by one entry per bogus name.
+        """
+        if isinstance(error, StoreError):
+            return
+        with self._lock:
+            stats = self._endpoint_stats.get(endpoint)
+            if stats is None:
+                stats = self._endpoint_stats[endpoint] = EndpointStats(self.registry, endpoint)
+        stats.record(time.perf_counter() - start, result, error)
+
     def localize(self, endpoint: str, features: Sequence) -> "LocalizationResult":
         """One request through the configured path (micro-batched or direct)."""
-        if self.batching:
-            return self.batcher_for(endpoint).localize(features)
-        return self.gateway.localize(endpoint, features)
+        start = time.perf_counter()
+        try:
+            if self.batching:
+                result = self.batcher_for(endpoint).localize(features)
+            else:
+                result = self.gateway.localize(endpoint, features)
+        except Exception as error:
+            self._count(endpoint, start, error=error)
+            raise
+        self._count(endpoint, start, result)
+        return result
 
     async def _score(self, endpoint: str, features: np.ndarray):
-        """One batch through the sync stack without blocking the event loop."""
+        """One request through the sync stack without blocking the event loop,
+        counted under ``endpoint`` like :meth:`localize`."""
         import asyncio
 
         loop = asyncio.get_running_loop()
@@ -275,18 +393,27 @@ class ServingApp:
         # the call inside a copy of *this* task's context keeps the live
         # request span parented through the thread hop.
         context = contextvars.copy_context()
-        if self.batching:
-            batcher = self._batcher(endpoint)
-            if batcher is None:
-                # The first load's store I/O (and the 404 for an unknown
-                # name) happens on the executor, never on the event loop.
-                batcher = await loop.run_in_executor(
-                    self._executor, context.run, self.batcher_for, endpoint
+        start = time.perf_counter()
+        try:
+            if self.batching:
+                batcher = self._batcher(endpoint)
+                if batcher is None:
+                    # The first load's store I/O (and the 404 for an unknown
+                    # name) happens on the executor, never on the event loop.
+                    batcher = await loop.run_in_executor(
+                        self._executor, context.run, self.batcher_for, endpoint
+                    )
+                result = await asyncio.wrap_future(batcher.submit(features))
+            else:
+                result = await loop.run_in_executor(
+                    self._executor, context.run,
+                    self.gateway.localize, endpoint, features,
                 )
-            return await asyncio.wrap_future(batcher.submit(features))
-        return await loop.run_in_executor(
-            self._executor, context.run, self.gateway.localize, endpoint, features
-        )
+        except Exception as error:
+            self._count(endpoint, start, error=error)
+            raise
+        self._count(endpoint, start, result)
+        return result
 
     async def localize_document(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Handle a decoded ``POST /v1/localize`` body; returns the response."""
@@ -398,8 +525,12 @@ class ServingApp:
                 endpoint: batcher.stats.as_dict()
                 for endpoint, batcher in self._batchers.items()
             }
+            endpoint_stats = dict(self._endpoint_stats)
+        endpoints = {
+            endpoint: stats.as_dict() for endpoint, stats in endpoint_stats.items()
+        }
         document = {
-            "gateway": self.gateway.stats(),
+            "gateway": {"endpoints": endpoints, **self.gateway.stats()},
             "batching": {
                 "enabled": self.batching,
                 "max_batch": self.max_batch,

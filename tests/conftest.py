@@ -23,7 +23,26 @@ from repro.data import (
     build_building,
     collect_campaign,
 )
+from repro.eval.engine import CACHE_DIR_ENV
 from repro.spawn import BLAS_THREAD_VARIABLES, blas_threads, set_blas_threads
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_default_cache(tmp_path_factory):
+    """Point the default artefact cache at a temporary directory.
+
+    CLI tests run ``main([...])`` without ``--cache-dir``, and the ``repro``
+    processes some tests start inherit this environment: none of them may
+    write into the user's ``~/.cache/repro``.  A test that sets
+    ``REPRO_CACHE_DIR`` itself (``monkeypatch.setenv``) still gets its own.
+    """
+    previous = os.environ.get(CACHE_DIR_ENV)
+    os.environ[CACHE_DIR_ENV] = str(tmp_path_factory.mktemp("default-cache"))
+    yield
+    if previous is None:
+        os.environ.pop(CACHE_DIR_ENV, None)
+    else:
+        os.environ[CACHE_DIR_ENV] = previous
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ Every child the repo starts goes through :func:`repro.spawn.spawn`: with
 telemetry off in the parent nothing is logged in the children, and with an
 event-log directory configured in the parent the children log there.  One
 test per way the CLI spawns children: ``repro queue work --workers N``,
-``repro run --jobs N`` and ``repro serve --workers N``.
+``repro run --jobs N`` and ``repro serve --workers N``; and stopped serving
+workers close their sinks, so their last spans are not lost.
 """
 
 from __future__ import annotations
@@ -88,3 +89,25 @@ def test_serving_workers_log_where_the_supervisor_logs(tmp_path, tiny_campaign):
             time.sleep(0.05)
     assert len(served) == requests
     assert _worker_spans(log_dir, "serve.batch.flush")
+
+
+@pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"), reason="needs SO_REUSEPORT")
+def test_stopped_serving_workers_keep_their_last_spans(tmp_path, tiny_campaign):
+    store = ModelStore(tmp_path / "store")
+    service = LocalizationService("KNN", params={"k": 3}).fit(tiny_campaign.train)
+    store.publish(service, "knn", tags=("prod",))
+    log_dir = tmp_path / "telemetry"
+    events.configure_sink(log_dir)
+    query = tiny_campaign.test_for("S7").features[:1]
+    requests = 200
+    with ServeSupervisor(
+        str(store.root), port=0, workers=2, routes={"b1/knn": "knn@prod"}
+    ) as supervisor:
+        supervisor.wait_until_ready(timeout=120.0)
+        for _ in range(requests):
+            with ServiceClient(f"http://127.0.0.1:{supervisor.port}") as client:
+                client.localize(query, model="b1/knn")
+    # Leaving the block stops the fleet with SIGTERM: each worker's loop
+    # stops, and its sink appends what it had queued before the worker exits.
+    served = _worker_spans(log_dir, "http.request", path="/v1/localize")
+    assert len(served) == requests

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +177,27 @@ class TestTelemetryOptOut:
         events.configure_sink(None)  # flush + close
         records = list(events.read_events(tmp_path / "telemetry"))
         assert [record["name"] for record in records] == ["cli.spin"]
+
+
+class TestSinkClosedAtExit:
+    RUN = ["run", "--models", "KNN", "--devices", "OP3", "--methods", "FGSM",
+           "--epsilons", "0.3", "--phis", "50"]
+
+    def test_in_process_main_closes_the_sink_it_configured(self, tmp_path, capsys):
+        assert main([*self.RUN, "--cache-dir", str(tmp_path)]) == 0
+        assert events.configured_sink() is None
+
+    def test_a_run_process_logs_every_unit_before_it_exits(self, tmp_path):
+        """The sink appends what it queued every 50 ms; the last units of a
+        short run are only logged because the CLI closes the sink."""
+        subprocess.run(
+            [sys.executable, "-m", "repro", *self.RUN, "--cache-dir", str(tmp_path)],
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        units = [
+            record
+            for record in events.read_events(tmp_path / "telemetry", kind="span")
+            if record["name"] == "engine.unit"
+        ]
+        assert len(units) == 3

@@ -163,33 +163,36 @@ class TestLifecycleAndErrors:
         innocent batch-mates still get their results."""
         test = tiny_campaign.test_for("S7")
         entered, release = threading.Event(), threading.Event()
-        retried = []
+        calls = []
 
-        def gated_batch(features):
-            entered.set()
-            release.wait(10)
+        def localize(features):
+            calls.append(features.shape)
+            if len(calls) == 1:  # hold the first flush
+                entered.set()
+                release.wait(10)
             return service.localize(features)
 
-        def retry_one(features):
-            retried.append(features.shape)
-            return service.localize(features)
-
-        with MicroBatcher(retry_one, max_batch=8, batch_fn=gated_batch) as batcher:
+        with MicroBatcher(localize, max_batch=8) as batcher:
             opener = batcher.submit(test.features[0])
             assert entered.wait(10)  # the flusher is blocked on the first batch
             good = batcher.submit(test.features[1])
             bad = batcher.submit(np.zeros(3))  # wrong AP count
             also_good = batcher.submit(test.features[2])
             release.set()
-            assert opener.result(timeout=10).labels.shape == (1,)
-            assert good.result(timeout=10).labels.shape == (1,)
+            results = [opener.result(timeout=10), good.result(timeout=10)]
             with pytest.raises(ValueError, match="APs|concatenat"):
                 bad.result(timeout=10)
-            assert also_good.result(timeout=10).labels.shape == (1,)
-            # The three queued together, so their one combined flush failed
-            # and each was retried on its own, in arrival order.
+            results.append(also_good.result(timeout=10))
+            assert [result.labels.shape for result in results] == [(1,)] * 3
+            direct = service.localize(test.features[:3]).labels
+            np.testing.assert_array_equal(
+                np.concatenate([result.labels for result in results]), direct
+            )
+            # The opener flushed alone.  The three queued behind it failed
+            # to concatenate, so nothing was called for them together, and
+            # each was retried on its own, in arrival order.
             width = test.features.shape[1]
-            assert retried == [(1, width), (1, 3), (1, width)]
+            assert calls == [(1, width), (1, width), (1, 3), (1, width)]
             # The flusher is still alive and serving.
             later = batcher.localize(test.features[3])
             assert later.labels.shape == (1,)

@@ -1,13 +1,21 @@
-"""Tests for the multi-tenant :class:`repro.serve.Gateway`."""
+"""Tests for the multi-tenant :class:`repro.serve.Gateway`, and for the
+per-endpoint request stats the :class:`repro.serve.ServingApp` in front of it
+records."""
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from repro.api import LocalizationService
-from repro.serve import Gateway, ModelStore, StoreError
+from repro.serve import Gateway, ModelStore, ServingApp, StoreError
 from repro.serve.gateway import percentile
+from repro.serve.http import LATENCY_WINDOW
 
 
 @pytest.fixture()
@@ -41,17 +49,21 @@ class TestRouting:
 
     def test_unknown_endpoint_raises_without_leaking_stats(self, store):
         """Unknown names must not grow /metrics: no EndpointStats entry."""
-        gateway = Gateway(store)
-        for bogus in ("ghost@prod", "x1", "x2"):
-            with pytest.raises(StoreError):
-                gateway.localize(bogus, np.zeros((1, 4)))
-        assert gateway.stats()["endpoints"] == {}
+        for batching in (False, True):
+            with closing(ServingApp(store, batching=batching)) as app:
+                for bogus in ("ghost@prod", "x1", "x2"):
+                    with pytest.raises(StoreError):
+                        app.localize(bogus, np.zeros((1, 4)))
+                assert app.metrics_document()["gateway"]["endpoints"] == {}
 
     def test_request_failure_on_valid_endpoint_counts_error(self, store):
-        gateway = Gateway(store)
-        with pytest.raises(ValueError, match="APs"):
-            gateway.localize("knn3@prod", np.zeros((1, 3)))  # wrong width
-        assert gateway.stats()["endpoints"]["knn3@prod"]["errors"] == 1
+        for batching in (False, True):
+            with closing(ServingApp(store, batching=batching)) as app:
+                with pytest.raises(ValueError, match="APs"):
+                    app.localize("knn3@prod", np.zeros((1, 3)))  # wrong width
+                stats = app.metrics_document()["gateway"]["endpoints"]["knn3@prod"]
+            assert stats["errors"] == 1
+            assert stats["requests"] == 0
 
 
 class TestLazyLoadingAndEviction:
@@ -84,37 +96,114 @@ class TestLazyLoadingAndEviction:
             Gateway(store, max_loaded=0)
 
 
+class _CountingStore(ModelStore):
+    """A store whose ``resolve`` is counted and held until ``release`` is set."""
+
+    def __init__(self, root, fail: bool = False) -> None:
+        super().__init__(root)
+        self.calls = 0
+        self.fail = fail
+        self.release = threading.Event()
+        self._calls_lock = threading.Lock()
+
+    def resolve(self, ref):
+        with self._calls_lock:
+            self.calls += 1
+        assert self.release.wait(10)
+        if self.fail:
+            raise OSError(f"cannot read {ref}")
+        return super().resolve(ref)
+
+
+def _cold_burst(gateway: Gateway, store: _CountingStore, threads: int = 16):
+    """``threads`` concurrent first requests for one ref; their outcomes."""
+    outcomes = [None] * threads
+    start = threading.Barrier(threads)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def request(index: int) -> None:
+        start.wait(10)
+        try:
+            outcomes[index] = gateway.service_for("knn3@prod")
+        except Exception as error:  # noqa: BLE001 - the outcome under test
+            outcomes[index] = error
+
+    workers = [threading.Thread(target=request, args=(i,)) for i in range(threads)]
+    try:
+        for worker in workers:
+            worker.start()
+        deadline = time.monotonic() + 10.0
+        while store.calls == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)  # let the rest of the burst arrive behind the first load
+        store.release.set()
+        for worker in workers:
+            worker.join(10)
+    finally:
+        store.release.set()
+        sys.setswitchinterval(switch_interval)
+    assert not any(worker.is_alive() for worker in workers)
+    return outcomes
+
+
+class TestSingleFlightLoads:
+    def test_concurrent_first_requests_load_a_ref_once(self, store):
+        counting = _CountingStore(store.root)
+        gateway = Gateway(counting)
+        outcomes = _cold_burst(gateway, counting)
+        assert counting.calls == 1
+        assert gateway.loads == 1
+        assert all(service is outcomes[0] for service in outcomes)
+        assert isinstance(outcomes[0], LocalizationService)
+
+    def test_failed_load_reaches_every_waiter_and_is_retried(self, store):
+        counting = _CountingStore(store.root, fail=True)
+        gateway = Gateway(counting)
+        outcomes = _cold_burst(gateway, counting)
+        assert counting.calls == 1
+        assert all(isinstance(outcome, OSError) for outcome in outcomes)
+        assert gateway.loaded_refs() == [] and gateway.loads == 0
+        # Nothing cached the failure: the next request loads again.
+        counting.fail = False
+        assert isinstance(gateway.service_for("knn3@prod"), LocalizationService)
+        assert counting.calls == 2
+        assert gateway.loaded_refs() == ["knn3@v1"]
+
+
 class TestStats:
+    """Per-endpoint request stats, as the serving app records them."""
+
     def test_request_counters_and_latency(self, store, tiny_campaign):
-        gateway = Gateway(store)
         features = tiny_campaign.test_for("S7").features
-        for _ in range(3):
-            gateway.localize("knn3@prod", features)
-        stats = gateway.stats()
-        endpoint = stats["endpoints"]["knn3@prod"]
-        assert endpoint["requests"] == 3
-        assert endpoint["fingerprints"] == 3 * features.shape[0]
-        assert endpoint["errors"] == 0
-        assert endpoint["latency_ms"]["p50"] is not None
-        assert endpoint["latency_ms"]["p99"] >= endpoint["latency_ms"]["p50"]
-        assert stats["store"]["models"] == ["knn1", "knn3", "knn5"]
+        for batching in (False, True):
+            with closing(ServingApp(store, batching=batching)) as app:
+                for _ in range(3):
+                    app.localize("knn3@prod", features)
+                stats = app.metrics_document()["gateway"]
+            endpoint = stats["endpoints"]["knn3@prod"]
+            assert endpoint["requests"] == 3
+            assert endpoint["fingerprints"] == 3 * features.shape[0]
+            assert endpoint["errors"] == 0
+            assert endpoint["latency_ms"]["p50"] is not None
+            assert endpoint["latency_ms"]["p99"] >= endpoint["latency_ms"]["p50"]
+            assert stats["store"]["models"] == ["knn1", "knn3", "knn5"]
 
     def test_latency_window_is_bounded(self, store, tiny_campaign):
-        """Regression: a long-lived gateway must not accumulate one latency
+        """Regression: a long-lived app must not accumulate one latency
         sample per request forever — the percentile window is bounded."""
-        gateway = Gateway(store, stats_window=4)
-        features = tiny_campaign.test_for("S7").features
-        for _ in range(10):
-            gateway.localize("knn3@prod", features)
-        endpoint_stats = gateway._stats["knn3@prod"]
-        assert endpoint_stats.latencies.maxlen == 4
-        assert len(endpoint_stats.latencies) == 4
-        # Counters still see every request; only the window is bounded.
-        assert gateway.stats()["endpoints"]["knn3@prod"]["requests"] == 10
-
-    def test_stats_window_validated(self, store):
-        with pytest.raises(ValueError):
-            Gateway(store, stats_window=0)
+        requests = LATENCY_WINDOW + 6
+        features = tiny_campaign.test_for("S7").features[:1]
+        with closing(ServingApp(store, batching=False)) as app:
+            for _ in range(requests):
+                app.localize("knn3@prod", features)
+            endpoint_stats = app._endpoint_stats["knn3@prod"]
+            assert LATENCY_WINDOW == 1024
+            assert endpoint_stats.latencies.maxlen == LATENCY_WINDOW
+            assert len(endpoint_stats.latencies) == LATENCY_WINDOW
+            # Counters still see every request; only the window is bounded.
+            endpoint = app.metrics_document()["gateway"]["endpoints"]["knn3@prod"]
+        assert endpoint["requests"] == requests
 
     def test_percentile_helper(self):
         assert percentile([], 50) is None

@@ -1,10 +1,11 @@
-"""Serving-side inference guard: gateway counters, 403 enforcement, provenance."""
+"""Serving-side inference guard: endpoint counters, 403 enforcement, provenance."""
 
 from __future__ import annotations
 
 import json
 import urllib.error
 import urllib.request
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.api import LocalizationService
 from repro.attacks import FGSMAttack, ThreatModel
 from repro.defenses import DefenseSpec, FingerprintDetectorDefense, GuardRejectedError
-from repro.serve import Gateway, ModelStore, ServiceClient
+from repro.serve import ModelStore, ServiceClient, ServingApp
 from repro.serve.aio.server import AioServerThread
 
 
@@ -100,12 +101,15 @@ class TestServiceGuard:
 
 
 class TestGatewayGuardMetrics:
+    """Guard counters per endpoint, as the serving app in front of the
+    gateway records them."""
+
     def test_flagged_counter_accumulates(self, tiny_campaign, adversarial_batch, tmp_path):
         store = ModelStore(tmp_path / "store")
         store.publish(_guarded_service(tiny_campaign, "monitor"), "knn", tags=("prod",))
-        gateway = Gateway(store)
-        gateway.localize("knn@prod", adversarial_batch)
-        stats = gateway.stats()["endpoints"]["knn@prod"]
+        with closing(ServingApp(store)) as app:
+            app.localize("knn@prod", adversarial_batch)
+            stats = app.metrics_document()["gateway"]["endpoints"]["knn@prod"]
         assert stats["guard"]["flagged"] >= 1
         assert stats["guard"]["rejected"] == 0
         assert stats["requests"] == 1
@@ -113,10 +117,10 @@ class TestGatewayGuardMetrics:
     def test_rejected_counter_and_reraise(self, tiny_campaign, adversarial_batch, tmp_path):
         store = ModelStore(tmp_path / "store")
         store.publish(_guarded_service(tiny_campaign, "reject"), "knn", tags=("prod",))
-        gateway = Gateway(store)
-        with pytest.raises(GuardRejectedError):
-            gateway.localize("knn@prod", adversarial_batch)
-        stats = gateway.stats()["endpoints"]["knn@prod"]
+        with closing(ServingApp(store)) as app:
+            with pytest.raises(GuardRejectedError):
+                app.localize("knn@prod", adversarial_batch)
+            stats = app.metrics_document()["gateway"]["endpoints"]["knn@prod"]
         assert stats["guard"]["rejected"] == 1
         assert stats["guard"]["flagged"] >= 1
         # Guard rejections are their own counter, not generic errors.
@@ -201,7 +205,8 @@ class TestHTTPGuard:
         assert document["count"] == 0
 
     def test_batched_rejection_counted_once(self, guarded_server, adversarial_batch):
-        """The degraded per-request retry, not the batch probe, owns the stats."""
+        """A rejected request counts once, though its failed batched flush is
+        retried alone."""
         expected_flags = int(
             guarded_server.app.gateway.store.resolve("knn-strict")
             .guard.guard(adversarial_batch)
@@ -215,7 +220,8 @@ class TestHTTPGuard:
             )
         excinfo.value.close()
         assert excinfo.value.code == 403
-        stats = guarded_server.app.gateway.stats()["endpoints"]["knn-strict"]
-        # Exactly once each — the failed batch probe must not pre-count them.
+        with ServiceClient(guarded_server.base_url) as client:
+            stats = client.metrics()["gateway"]["endpoints"]["knn-strict"]
+        # Exactly once each — the failed batched flush must not pre-count them.
         assert stats["guard"]["rejected"] == 1
         assert stats["guard"]["flagged"] == expected_flags

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import socket
 import subprocess
 import sys
@@ -97,6 +99,31 @@ class TestServeSupervisor:
             assert supervisor.restarts == 0
         finally:
             supervisor.stop()
+
+    def test_stop_kills_a_worker_that_ignores_sigterm(self, published_store):
+        # A worker whose drain hangs must not outlive stop(): it would keep
+        # the SO_REUSEPORT port bound.
+        context = multiprocessing.get_context("spawn")
+        ready = context.Event()
+        stuck = context.Process(
+            target=exec,
+            args=(
+                "import signal, time\n"
+                "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+                "ready.set()\n"
+                "time.sleep(60)\n",
+                {"ready": ready},
+            ),
+            daemon=True,
+        )
+        stuck.start()
+        assert ready.wait(30)
+        supervisor = ServeSupervisor(str(published_store.root), port=0, workers=1)
+        supervisor._processes[0] = stuck
+        started = time.monotonic()
+        supervisor.stop(timeout=0.5)
+        assert time.monotonic() - started < 10
+        assert stuck.exitcode == -signal.SIGKILL
 
     def test_workers_validated(self, published_store):
         with pytest.raises(ValueError):
