@@ -111,7 +111,7 @@ def bench_serving(
     reps: int,
 ) -> Dict[str, object]:
     """Paired on/off serving throughput (requests/s); median of paired ratios."""
-    app = ServingApp(store, batching=True, max_batch=64)
+    app = ServingApp(store, max_batch=64)
     connect = harness.in_process(app, endpoint)
     try:
         app.localize(endpoint, queries[0])  # untimed model load

@@ -2,16 +2,16 @@
 """Benchmark harness for the production serving layer (``repro.serve``).
 
 Measures the online-phase request path end to end — store-published model,
-gateway routing, per-endpoint stats — under the two serving modes:
+gateway routing, per-endpoint stats — against a per-request baseline:
 
 ``per_request``
-    Every request is routed and scored individually
-    (``ServingApp(batching=False)``): the latency-optimal baseline.
+    Every request is one ``Gateway.localize`` call of its own, routed and
+    scored individually, with no batcher and no endpoint stats.
 ``micro_batched``
-    Requests from concurrent callers queue in the endpoint's
+    ``ServingApp.localize``, the path every served request takes: requests
+    from concurrent callers queue in the endpoint's
     :class:`~repro.serve.batching.MicroBatcher` and are flushed as one
-    batched ``localize`` call of at most ``--max-batch`` fingerprints:
-    the throughput-optimal path.
+    batched ``localize`` call of at most ``--max-batch`` fingerprints.
 
 Both modes replay the same stream of single-fingerprint requests from
 ``--threads`` concurrent client threads and record per-request latency
@@ -148,14 +148,15 @@ def measure(args: argparse.Namespace) -> Dict[str, object]:
               f"requests from {threads} threads", flush=True)
 
         modes: Dict[str, Dict[str, object]] = {}
-        for mode, batching, note in (
-            ("per_request", False, "batching off"),
-            ("micro_batched", True, f"max_batch={args.max_batch}"),
+        for mode, note in (
+            ("per_request", "one Gateway.localize call per request"),
+            ("micro_batched", f"max_batch={args.max_batch}"),
         ):
             print(f"{mode:<13} ({note}) ...", flush=True)
-            app = ServingApp(store, batching=batching, max_batch=args.max_batch)
-            modes[mode] = harness.replay(harness.in_process(app, endpoint), queries, threads)
-            if batching:
+            app = ServingApp(store, max_batch=args.max_batch)
+            target = app.gateway if mode == "per_request" else app
+            modes[mode] = harness.replay(harness.in_process(target, endpoint), queries, threads)
+            if mode == "micro_batched":
                 batch_stats = app.batcher_for(endpoint).stats.as_dict()
             app.close()
             _show(modes[mode])

@@ -81,7 +81,7 @@ from .registry import (
 from .queue import QueueWorker, RunLedger, WorkerOptions, collect_results
 from .serve import Gateway, MicroBatcher, ModelStore, ServiceClient
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "CALLOC",

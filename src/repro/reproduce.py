@@ -523,12 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="micro-batching: the flusher stops taking queued requests once this "
-        "many fingerprints are taken (a batch may exceed it; a request is never split)",
-    )
-    serve.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="serve every request individually (per-request baseline)",
+        "many fingerprints are taken (a batch may exceed it; a request is never split); "
+        "1 makes every request its own model call",
     )
     serve.add_argument(
         "--max-loaded",
@@ -866,7 +862,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             routes=routes,
-            batching=not args.no_batching,
             max_batch=args.max_batch,
             max_loaded=args.max_loaded,
             watch_interval_s=args.watch_interval,
@@ -879,7 +874,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             routes=routes,
-            batching=not args.no_batching,
             max_batch=args.max_batch,
             max_loaded=args.max_loaded,
             watch_interval_s=args.watch_interval,

@@ -19,9 +19,10 @@ localizing live fingerprints at serving scale:
   computed, up to ``max_batch`` fingerprints) with bit-identical results.
 * :mod:`repro.serve.http` — :class:`ServingApp`, the application behind
   the ``repro serve`` API (``POST /v1/localize``, ``GET /v1/models``,
-  ``/healthz``, ``/metrics``): gateway, micro-batchers, shadow routing, the
-  per-endpoint request stats (:class:`EndpointStats`, one count per request
-  whether batched or not) and HTTP accounting; plus the keep-alive
+  ``/healthz``, ``/metrics``): gateway, one micro-batcher per endpoint that
+  every request goes through, shadow routing, the per-endpoint request
+  stats (:class:`EndpointStats`, one count per request however it was
+  coalesced) and HTTP accounting; plus the keep-alive
   :class:`ServiceClient`.
 * :mod:`repro.serve.aio` — the HTTP front end: asyncio keep-alive/
   pipelined HTTP with binary body codecs, ``SO_REUSEPORT`` multi-process

@@ -197,10 +197,6 @@ class RoutingDecision:
     #: The shadow additionally scores a copy in the background.
     mirror_shadow: bool = False
 
-    @property
-    def touches_shadow(self) -> bool:
-        return self.serve_shadow or self.mirror_shadow
-
 
 @register_router_policy("mirror", tags=("shadow",), aliases=("shadow-mirror",))
 class MirrorPolicy:

@@ -72,7 +72,7 @@ class ServeSupervisor:
         (``alive_workers`` then reports the shrunken fleet).
     app_kwargs:
         Forwarded to every worker's :class:`~repro.serve.http.ServingApp`
-        (batching knobs, ``watch_interval_s``, ...).
+        (``max_batch``, ``max_loaded``, ``watch_interval_s``).
     """
 
     def __init__(

@@ -92,9 +92,6 @@ class BatchStats:
             buckets=_BATCH_SIZE_BUCKETS,
         ).labels(**label)
         self.max_batch_size = 0
-        #: Bounded window of recent flush sizes (a long-lived server must not
-        #: accumulate one entry per batch forever).
-        self.batch_sizes: deque = deque(maxlen=1024)
 
     @property
     def requests(self) -> int:
@@ -115,7 +112,6 @@ class BatchStats:
         self._batches.inc()
         self._fingerprints.inc(int(rows))
         self._sizes.observe(int(rows))
-        self.batch_sizes.append(int(rows))
         self.max_batch_size = max(self.max_batch_size, int(rows))
 
     def as_dict(self) -> Dict[str, Any]:
@@ -144,9 +140,10 @@ class MicroBatcher:
         as one batch — requests are never split).
 
     A flush calls ``localize_fn`` once on the concatenated batch.  If that
-    call raises, each request of the batch is retried alone through
-    ``localize_fn``, in arrival order, so each caller gets its own result
-    or its own error.
+    call raises, each request of a batch of several is retried alone
+    through ``localize_fn``, in arrival order, so each caller gets its own
+    result or its own error; a request that flushed alone gets the error
+    it raised.
     """
 
     def __init__(
@@ -232,12 +229,17 @@ class MicroBatcher:
         try:
             features = np.concatenate([item.features for item in batch], axis=0)
             result = self.localize_fn(features)
-        except Exception:
-            # One bad request (e.g. a mismatched fingerprint width) must
-            # neither kill the flusher thread nor fail its batch-mates:
-            # degrade to per-request calls so each caller gets its own
-            # result or its own error.
-            self._flush_individually(batch)
+        except Exception as error:
+            if len(batch) > 1:
+                # One bad request (e.g. a mismatched fingerprint width) must
+                # neither kill the flusher thread nor fail its batch-mates:
+                # degrade to per-request calls so each caller gets its own
+                # result or its own error.
+                self._flush_individually(batch)
+            elif batch[0].future.set_running_or_notify_cancel():
+                # A lone request already ran alone; running it again would
+                # pay the model and the guard twice for the same error.
+                batch[0].future.set_exception(error)
             return
         self.stats.record_batch(features.shape[0])
         start = 0

@@ -218,14 +218,13 @@ class ServingApp:
     """The serving application behind the HTTP front end (and the benchmarks).
 
     Owns the gateway plus one :class:`MicroBatcher` per endpoint (batches
-    must never mix endpoints).  ``batching=False`` routes requests straight
-    through the gateway — the per-request baseline the serving benchmark
-    compares against.  :meth:`localize` is the synchronous in-process path;
-    the front end awaits :meth:`localize_document`, which adds shadow
-    routing and runs blocking store I/O on the app's executor so the event
-    loop never blocks.  Both paths record each request once in the
-    :class:`EndpointStats` of the endpoint it asked for, when its answer or
-    error comes back, batched or not.
+    must never mix endpoints), and every request goes through its
+    endpoint's batcher; ``max_batch=1`` makes each request its own model
+    call.  :meth:`localize` is the synchronous in-process entry; the front
+    end awaits :meth:`localize_document`, which adds shadow routing and
+    runs blocking store I/O on the app's executor so the event loop never
+    blocks.  Both record each request once in the :class:`EndpointStats` of
+    the endpoint it asked for, when its answer or error comes back.
 
     ``store`` may be a :class:`ModelStore` or a store root path.  ``routes``
     values may be plain store refs (``"knn@prod"``), the canary grammar
@@ -244,7 +243,6 @@ class ServingApp:
         self,
         store: Union[ModelStore, str, None],
         routes: Optional[Mapping[str, Union[str, RouteSpec]]] = None,
-        batching: bool = True,
         max_batch: int = 64,
         max_loaded: int = 8,
         watch_interval_s: float = 0.0,
@@ -272,13 +270,13 @@ class ServingApp:
             for endpoint, spec in self.route_specs.items()
             if spec.has_shadow
         }
-        self.batching = bool(batching)
         self.max_batch = int(max_batch)
         self.worker_id = worker_id
         self.started_unix = time.time()
         self._batchers: Dict[str, MicroBatcher] = {}
         self._endpoint_stats: Dict[str, EndpointStats] = {}
         self._lock = threading.Lock()
+        self._closed = False
         # Runs blocking store I/O and document builders off the event loop.
         self._executor = ThreadPoolExecutor(
             max_workers=8, thread_name_prefix="repro-aio"
@@ -338,6 +336,9 @@ class ServingApp:
             return batcher
         self.gateway.service_for(endpoint)
         with self._lock:
+            # A batcher made after close() would keep its flusher forever.
+            if self._closed:
+                raise RuntimeError("ServingApp is closed")
             batcher = self._batchers.get(endpoint)
             if batcher is None:
                 batcher = MicroBatcher(
@@ -370,13 +371,10 @@ class ServingApp:
         stats.record(time.perf_counter() - start, result, error)
 
     def localize(self, endpoint: str, features: Sequence) -> "LocalizationResult":
-        """One request through the configured path (micro-batched or direct)."""
+        """One request through the endpoint's batcher, blocking until answered."""
         start = time.perf_counter()
         try:
-            if self.batching:
-                result = self.batcher_for(endpoint).localize(features)
-            else:
-                result = self.gateway.localize(endpoint, features)
+            result = self.batcher_for(endpoint).localize(features)
         except Exception as error:
             self._count(endpoint, start, error=error)
             raise
@@ -395,20 +393,14 @@ class ServingApp:
         context = contextvars.copy_context()
         start = time.perf_counter()
         try:
-            if self.batching:
-                batcher = self._batcher(endpoint)
-                if batcher is None:
-                    # The first load's store I/O (and the 404 for an unknown
-                    # name) happens on the executor, never on the event loop.
-                    batcher = await loop.run_in_executor(
-                        self._executor, context.run, self.batcher_for, endpoint
-                    )
-                result = await asyncio.wrap_future(batcher.submit(features))
-            else:
-                result = await loop.run_in_executor(
-                    self._executor, context.run,
-                    self.gateway.localize, endpoint, features,
+            batcher = self._batcher(endpoint)
+            if batcher is None:
+                # The first load's store I/O (and the 404 for an unknown
+                # name) happens on the executor, never on the event loop.
+                batcher = await loop.run_in_executor(
+                    self._executor, context.run, self.batcher_for, endpoint
                 )
+            result = await asyncio.wrap_future(batcher.submit(features))
         except Exception as error:
             self._count(endpoint, start, error=error)
             raise
@@ -511,7 +503,6 @@ class ServingApp:
             "version": __version__,
             "uptime_s": round(time.time() - self.started_unix, 3),
             "models": len(self.gateway.store.list_models()),
-            "batching": self.batching,
             "frontend": "aio",
             "content_types": protocol.supported_content_types(),
         }
@@ -532,7 +523,6 @@ class ServingApp:
         document = {
             "gateway": {"endpoints": endpoints, **self.gateway.stats()},
             "batching": {
-                "enabled": self.batching,
                 "max_batch": self.max_batch,
                 "endpoints": batching,
             },
@@ -592,6 +582,7 @@ class ServingApp:
     def close(self) -> None:
         """Stop the batchers' flusher threads and the executor."""
         with self._lock:
+            self._closed = True
             batchers = list(self._batchers.values())
             self._batchers.clear()
         for batcher in batchers:

@@ -77,7 +77,7 @@ class TestFlushPolicy:
                 future.result(timeout=10)
             assert batcher.stats.batches >= 2
             assert batcher.stats.requests == 8
-            assert max(batcher.stats.batch_sizes) <= 4
+            assert batcher.stats.max_batch_size <= 4
 
     def test_partial_batch_flushes_without_waiting(self, service, tiny_campaign):
         test = tiny_campaign.test_for("S7")
@@ -85,7 +85,8 @@ class TestFlushPolicy:
             start = time.perf_counter()
             result = batcher.localize(test.features[0])
             elapsed = time.perf_counter() - start
-            assert list(batcher.stats.batch_sizes) == [1]
+            assert batcher.stats.batches == 1
+            assert batcher.stats.max_batch_size == 1
         assert result.labels.shape == (1,)
         assert elapsed < 10.0  # an idle flusher takes a lone request at once
 
@@ -154,6 +155,20 @@ class TestLifecycleAndErrors:
             for future in futures:
                 with pytest.raises(RuntimeError, match="model exploded"):
                     future.result(timeout=10)
+
+    def test_lone_failed_request_runs_the_model_once(self):
+        """A request that flushed alone gets the error it raised; it is not
+        run again on its own."""
+        calls = []
+
+        def failing(features):
+            calls.append(features.shape[0])
+            raise RuntimeError("model exploded")
+
+        with MicroBatcher(failing, max_batch=64) as batcher:
+            with pytest.raises(RuntimeError, match="model exploded"):
+                batcher.localize(np.zeros((20, 4)))
+        assert calls == [20]
 
     def test_bad_request_neither_kills_flusher_nor_fails_batchmates(
         self, service, tiny_campaign

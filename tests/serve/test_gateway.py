@@ -49,21 +49,19 @@ class TestRouting:
 
     def test_unknown_endpoint_raises_without_leaking_stats(self, store):
         """Unknown names must not grow /metrics: no EndpointStats entry."""
-        for batching in (False, True):
-            with closing(ServingApp(store, batching=batching)) as app:
-                for bogus in ("ghost@prod", "x1", "x2"):
-                    with pytest.raises(StoreError):
-                        app.localize(bogus, np.zeros((1, 4)))
-                assert app.metrics_document()["gateway"]["endpoints"] == {}
+        with closing(ServingApp(store)) as app:
+            for bogus in ("ghost@prod", "x1", "x2"):
+                with pytest.raises(StoreError):
+                    app.localize(bogus, np.zeros((1, 4)))
+            assert app.metrics_document()["gateway"]["endpoints"] == {}
 
     def test_request_failure_on_valid_endpoint_counts_error(self, store):
-        for batching in (False, True):
-            with closing(ServingApp(store, batching=batching)) as app:
-                with pytest.raises(ValueError, match="APs"):
-                    app.localize("knn3@prod", np.zeros((1, 3)))  # wrong width
-                stats = app.metrics_document()["gateway"]["endpoints"]["knn3@prod"]
-            assert stats["errors"] == 1
-            assert stats["requests"] == 0
+        with closing(ServingApp(store)) as app:
+            with pytest.raises(ValueError, match="APs"):
+                app.localize("knn3@prod", np.zeros((1, 3)))  # wrong width
+            stats = app.metrics_document()["gateway"]["endpoints"]["knn3@prod"]
+        assert stats["errors"] == 1
+        assert stats["requests"] == 0
 
 
 class TestLazyLoadingAndEviction:
@@ -176,25 +174,24 @@ class TestStats:
 
     def test_request_counters_and_latency(self, store, tiny_campaign):
         features = tiny_campaign.test_for("S7").features
-        for batching in (False, True):
-            with closing(ServingApp(store, batching=batching)) as app:
-                for _ in range(3):
-                    app.localize("knn3@prod", features)
-                stats = app.metrics_document()["gateway"]
-            endpoint = stats["endpoints"]["knn3@prod"]
-            assert endpoint["requests"] == 3
-            assert endpoint["fingerprints"] == 3 * features.shape[0]
-            assert endpoint["errors"] == 0
-            assert endpoint["latency_ms"]["p50"] is not None
-            assert endpoint["latency_ms"]["p99"] >= endpoint["latency_ms"]["p50"]
-            assert stats["store"]["models"] == ["knn1", "knn3", "knn5"]
+        with closing(ServingApp(store)) as app:
+            for _ in range(3):
+                app.localize("knn3@prod", features)
+            stats = app.metrics_document()["gateway"]
+        endpoint = stats["endpoints"]["knn3@prod"]
+        assert endpoint["requests"] == 3
+        assert endpoint["fingerprints"] == 3 * features.shape[0]
+        assert endpoint["errors"] == 0
+        assert endpoint["latency_ms"]["p50"] is not None
+        assert endpoint["latency_ms"]["p99"] >= endpoint["latency_ms"]["p50"]
+        assert stats["store"]["models"] == ["knn1", "knn3", "knn5"]
 
     def test_latency_window_is_bounded(self, store, tiny_campaign):
         """Regression: a long-lived app must not accumulate one latency
         sample per request forever — the percentile window is bounded."""
         requests = LATENCY_WINDOW + 6
         features = tiny_campaign.test_for("S7").features[:1]
-        with closing(ServingApp(store, batching=False)) as app:
+        with closing(ServingApp(store)) as app:
             for _ in range(requests):
                 app.localize("knn3@prod", features)
             endpoint_stats = app._endpoint_stats["knn3@prod"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -130,8 +131,8 @@ class TestIntrospectionEndpoints:
         health = client.health()
         assert health["status"] == "ok"
         assert health["models"] == 1
-        assert health["batching"] is True
         assert "version" in health and "uptime_s" in health
+        assert "batching" not in health  # every request is batched
 
     def test_models_catalog_shares_registry_format(self, client):
         from repro.registry import LOCALIZERS, catalog_document
@@ -159,7 +160,7 @@ class TestIntrospectionEndpoints:
         assert endpoint["fingerprints"] == 2 * test.features.shape[0]
         assert endpoint["latency_ms"]["p50"] is not None
         batching = metrics["batching"]
-        assert batching["enabled"] is True
+        assert set(batching) == {"max_batch", "endpoints"}
         assert batching["endpoints"]["knn@prod"]["requests"] == 2
         assert metrics["gateway"]["loaded"] == ["knn@v1"]
 
@@ -211,12 +212,39 @@ class TestWarmPath:
         assert sync_labels == async_labels == direct.labels.tolist()
 
 
+class TestClosedApp:
+    def test_localize_after_close_raises_and_starts_no_flusher(
+        self, published_store, tiny_campaign
+    ):
+        """Regression: a request to a closed app built a batcher that nobody
+        closed, so its flusher thread outlived the app."""
+        from repro.serve.http import ServingApp
+
+        def flushers():
+            return {t for t in threading.enumerate() if t.name == "repro-microbatcher"}
+
+        row = tiny_campaign.test_for("S7").features[:1]
+        app = ServingApp(published_store)
+        app.localize("knn", row)
+        app.close()
+        before = flushers()
+        for endpoint in ("knn", "knn@prod"):
+            with pytest.raises(RuntimeError, match="ServingApp is closed"):
+                app.localize(endpoint, row)
+        assert app._batchers == {}
+        assert flushers() <= before
+
+
 class TestUnbatchedMode:
     def test_direct_mode_is_also_bit_identical(self, published_store, tiny_campaign):
-        with AioServerThread(published_store, batching=False) as server:
+        """``max_batch=1``: every request is its own model call."""
+        with AioServerThread(published_store, max_batch=1) as server:
             with ServiceClient(server.base_url) as client:
                 test = tiny_campaign.test_for("BLU")
                 direct = published_store.resolve("knn").localize(test.features)
-                via_http = client.localize(test.features, model="knn")
+                via_http = client.localize(test.features, model="knn", probabilities=True)
                 np.testing.assert_array_equal(via_http.labels, direct.labels)
-                assert client.health()["batching"] is False
+                np.testing.assert_array_equal(via_http.coordinates, direct.coordinates)
+                np.testing.assert_array_equal(via_http.error_estimate, direct.error_estimate)
+                np.testing.assert_array_equal(via_http.probabilities, direct.probabilities)
+                assert client.metrics()["batching"]["max_batch"] == 1

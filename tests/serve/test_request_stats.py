@@ -1,9 +1,10 @@
-"""Per-endpoint request stats: one count per request, batched or not.
+"""Per-endpoint request stats: one count per request, however it was coalesced.
 
 :class:`repro.serve.ServingApp` records each localize request once, under the
 endpoint it asked for, where the request enters and leaves the app.  These
 tests hold a flush so that requests are certain to coalesce, and check that
-a micro-batched app and a direct one report the same numbers.
+such an app and one with ``max_batch=1`` (every request its own model call)
+report the same numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 from repro.api import LocalizationService
 from repro.attacks import FGSMAttack, ThreatModel
-from repro.defenses import DefenseSpec
+from repro.defenses import DefenseSpec, GuardRejectedError
 from repro.serve import ModelStore, ServingApp, StoreError
 
 N_REQUESTS = 8
@@ -96,7 +97,7 @@ class TestCoalescedRequests:
     @pytest.mark.parametrize("path", ["sync", "async"])
     def test_each_coalesced_request_counts_once(self, store, tiny_campaign, path):
         rows = tiny_campaign.test_for("S7").features[:N_REQUESTS]
-        with closing(ServingApp(store, batching=True)) as app:
+        with closing(ServingApp(store)) as app:
             release = _hold_first_flush(app, "knn")
 
             def release_when_all_queued():
@@ -152,30 +153,32 @@ class TestBatchedAndDirectParity:
         ]
         knn_requests = sum(1 for p in payloads if p["model"] == "knn")
         outcomes, endpoints = {}, {}
-        for batching in (True, False):
-            with closing(ServingApp(store, batching=batching)) as app:
+        for max_batch in (64, 1):
+            with closing(ServingApp(store, max_batch=max_batch)) as app:
                 on_all_started = None
-                if batching:
+                if max_batch > 1:
                     release = _hold_first_flush(app, "knn")
 
                     def on_all_started():
                         _wait_until_queued(app, "knn", knn_requests)
                         release.set()
 
-                outcomes[batching] = _localize_concurrently(app, payloads, on_all_started)
-                if batching:
-                    assert app.metrics_document()["batching"]["endpoints"]["knn"][
-                        "batches"
-                    ] < knn_requests
-                endpoints[batching] = app.metrics_document()["gateway"]["endpoints"]
+                outcomes[max_batch] = _localize_concurrently(app, payloads, on_all_started)
+                document = app.metrics_document()
+                batches = document["batching"]["endpoints"]["knn"]["batches"]
+                if max_batch > 1:
+                    assert batches < knn_requests  # they did coalesce
+                else:
+                    assert batches == knn_requests - 1  # one per answered request
+                endpoints[max_batch] = document["gateway"]["endpoints"]
 
-        # Same answers, same errors, in both modes.
-        for batched, direct in zip(outcomes[True], outcomes[False]):
-            assert type(batched) is type(direct)
-            if isinstance(direct, dict):
-                assert batched["labels"] == direct["labels"]
-        assert isinstance(outcomes[False][5], ValueError)
-        assert isinstance(outcomes[False][7], StoreError)
+        # Same answers, same errors, however the requests were flushed.
+        for batched, alone in zip(outcomes[64], outcomes[1]):
+            assert type(batched) is type(alone)
+            if isinstance(alone, dict):
+                assert batched["labels"] == alone["labels"]
+        assert isinstance(outcomes[1][5], ValueError)
+        assert isinstance(outcomes[1][7], StoreError)
 
         def counts(stats):
             keys = ("requests", "fingerprints", "errors", "guard")
@@ -184,8 +187,8 @@ class TestBatchedAndDirectParity:
                 for endpoint, entry in stats.items()
             }
 
-        assert counts(endpoints[True]) == counts(endpoints[False])
-        stats = endpoints[False]
+        assert counts(endpoints[64]) == counts(endpoints[1])
+        stats = endpoints[1]
         assert "ghost@prod" not in stats
         assert sorted(stats) == ["knn", "knn-monitor", "knn-strict"]
         assert stats["knn"]["requests"] == knn_requests - 1
@@ -197,6 +200,26 @@ class TestBatchedAndDirectParity:
         assert stats["knn-strict"]["errors"] == 0
         assert stats["knn-strict"]["guard"]["rejected"] == 1
         assert stats["knn-strict"]["guard"]["flagged"] >= 1
+
+
+class TestLoneRequests:
+    def test_a_rejected_lone_request_runs_the_model_once(self, store, adversarial_batch):
+        """An enforcing guard's rejection of a request that flushed alone
+        reaches its caller without a second model and guard pass."""
+        with closing(ServingApp(store)) as app:
+            service = app.gateway.service_for("knn-strict")
+            original, calls = service.localize, []
+
+            def counting_localize(batch):
+                calls.append(batch.shape[0])
+                return original(batch)
+
+            service.localize = counting_localize
+            with pytest.raises(GuardRejectedError):
+                app.localize("knn-strict", adversarial_batch)
+            rejected = app.metrics_document()["gateway"]["endpoints"]["knn-strict"]
+        assert calls == [adversarial_batch.shape[0]]
+        assert rejected["guard"]["rejected"] == 1
 
 
 class TestMetricsShape:

@@ -206,12 +206,16 @@ class TestStoreSubcommand:
 
 
 class TestServeParser:
-    def test_serve_defaults(self):
+    def test_serve_defaults(self, capsys):
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.port == 8080
         assert args.max_batch == 64
-        assert not args.no_batching
+        # Every request goes through the batcher; --max-batch 1 stops coalescing.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--no-batching"])
+        assert excinfo.value.code == 2
+        assert "--no-batching" in capsys.readouterr().err
 
     def test_serve_route_flags(self):
         args = build_parser().parse_args(
