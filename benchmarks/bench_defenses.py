@@ -43,7 +43,7 @@ from repro.data.campaign import LocalizationCampaign
 from repro.data.fingerprint import denormalize_rss
 from repro.defenses import DefenseSpec
 from repro.eval import EvaluationConfig
-from repro.registry import make_localizer
+from repro.registry import LOCALIZERS
 
 #: Training-time defenses compared against the undefended baseline.
 TRAINING_DEFENSES = ("none", "curriculum", "pgd-adversarial", "input-noise")
@@ -64,7 +64,7 @@ def bench_training(
     variants: Dict[str, Dict[str, float]] = {}
     for name in TRAINING_DEFENSES:
         print(f"training {model} under '{name}' ...", flush=True)
-        instance = make_localizer(model, **params)
+        instance = LOCALIZERS.create(model, **params)
         defense = DefenseSpec.create(name).build()
         wall, _ = harness.timed(defense.wrap_training, instance, campaign.train)
         clean = instance.error_summary(test)
@@ -156,7 +156,7 @@ def bench_guard(
 
 def _surrogate(campaign):
     """A cheap gradient provider for crafting the guard's attacked batch."""
-    model = make_localizer("DNN", hidden_dims=(32,), epochs=10, seed=0)
+    model = LOCALIZERS.create("DNN", hidden_dims=(32,), epochs=10, seed=0)
     model.fit(campaign.train)
     return model
 

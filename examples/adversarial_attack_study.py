@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import make_attack, make_localizer
+from repro import ATTACKS, LOCALIZERS
 from repro.attacks import ThreatModel, attack_dataset
 from repro.data import CampaignConfig, collect_campaign, paper_building
 from repro.eval import ascii_table
@@ -24,7 +24,7 @@ def main() -> None:
     campaign = collect_campaign(building, CampaignConfig(seed=5))
     print(f"Building 3: {campaign.num_aps} APs, {campaign.num_classes} reference points")
 
-    calloc = make_localizer("CALLOC", epochs_per_lesson=8, seed=0)
+    calloc = LOCALIZERS.create("CALLOC", epochs_per_lesson=8, seed=0)
     calloc.fit(campaign.train)
     online = campaign.test_all_devices()
     print(f"Clean mean error over all devices: {calloc.mean_error(online):.2f} m\n")
@@ -38,7 +38,7 @@ def main() -> None:
         row = [method]
         for epsilon in epsilons:
             threat = ThreatModel(epsilon=epsilon, phi_percent=50.0, seed=11)
-            attacked = attack_dataset(online, make_attack(method, threat), calloc)
+            attacked = attack_dataset(online, ATTACKS.create(method, threat), calloc)
             row.append(calloc.mean_error(attacked))
         rows.append(row)
     print("Mean error (m) vs attack strength (phi = 50% of APs):")
@@ -56,7 +56,7 @@ def main() -> None:
             errors = []
             for seed in (11, 13):
                 threat = ThreatModel(epsilon=0.1, phi_percent=phi, seed=seed)
-                attacked = attack_dataset(online, make_attack(method, threat), calloc)
+                attacked = attack_dataset(online, ATTACKS.create(method, threat), calloc)
                 errors.append(calloc.mean_error(attacked))
             row.append(float(np.mean(errors)))
         rows.append(row)

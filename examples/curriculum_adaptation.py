@@ -14,7 +14,7 @@ Run with:  python examples/curriculum_adaptation.py
 
 from __future__ import annotations
 
-from repro import make_attack, make_localizer
+from repro import ATTACKS, LOCALIZERS
 from repro.attacks import ThreatModel, attack_dataset
 from repro.core import Curriculum
 from repro.data import CampaignConfig, collect_campaign, paper_building
@@ -29,7 +29,7 @@ def main() -> None:
     building = paper_building("Building 2", rp_granularity_m=2.0)
     campaign = collect_campaign(building, CampaignConfig(seed=13))
 
-    calloc = make_localizer("CALLOC", epochs_per_lesson=8, seed=0)
+    calloc = LOCALIZERS.create("CALLOC", epochs_per_lesson=8, seed=0)
     calloc.fit(campaign.train)
     print("Adaptive curriculum training (per-lesson summary):")
     print(calloc.training_report.summary())
@@ -38,14 +38,14 @@ def main() -> None:
         f"adaptive back-offs: {calloc.training_report.total_backoffs}\n"
     )
 
-    no_curriculum = make_localizer("CALLOC", epochs_per_lesson=8, use_curriculum=False, seed=0)
+    no_curriculum = LOCALIZERS.create("CALLOC", epochs_per_lesson=8, use_curriculum=False, seed=0)
     no_curriculum.fit(campaign.train)
 
     online = campaign.test_all_devices()
     threat = ThreatModel(epsilon=0.2, phi_percent=60.0, seed=21)
     rows = []
     for name, model in (("CALLOC (curriculum)", calloc), ("NC (no curriculum)", no_curriculum)):
-        attacked = attack_dataset(online, make_attack("PGD", threat), model)
+        attacked = attack_dataset(online, ATTACKS.create("PGD", threat), model)
         rows.append([name, model.mean_error(online), model.mean_error(attacked)])
     print("Clean vs PGD-attacked mean error (m):")
     print(ascii_table(rows, headers=["variant", "clean", "PGD eps=0.2, phi=60%"]))

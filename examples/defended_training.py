@@ -36,7 +36,7 @@ from repro.api import PROFILES
 from repro.attacks import FGSMAttack, ThreatModel
 from repro.defenses import CurriculumAdversarialDefense, DefenseSpec
 from repro.eval.engine import simulate_campaign
-from repro.registry import make_localizer
+from repro.registry import LOCALIZERS
 
 
 def main() -> None:
@@ -52,9 +52,9 @@ def main() -> None:
     #    walks any gradient-capable localizer (DNN/CNN/ANVIL/AdvLoc) through
     #    the same 10-lesson FGSM self-attack schedule CALLOC trains with.
     # ------------------------------------------------------------------
-    undefended = make_localizer("DNN", epochs=40, seed=0).fit(campaign.train)
+    undefended = LOCALIZERS.create("DNN", epochs=40, seed=0).fit(campaign.train)
     defended = CurriculumAdversarialDefense().wrap_training(
-        make_localizer("DNN", epochs=40, seed=0), campaign.train
+        LOCALIZERS.create("DNN", epochs=40, seed=0), campaign.train
     )
 
     attack = FGSMAttack(ThreatModel(epsilon=0.3, phi_percent=50.0, seed=11))

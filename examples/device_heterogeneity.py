@@ -13,7 +13,7 @@ Run with:  python examples/device_heterogeneity.py
 
 from __future__ import annotations
 
-from repro import make_localizer
+from repro import LOCALIZERS
 from repro.data import CampaignConfig, collect_campaign, device_acronyms, paper_building
 from repro.eval import ascii_table
 
@@ -25,9 +25,9 @@ def main() -> None:
     print(f"Offline database collected with {campaign.config.training_device}\n")
 
     models = {
-        "CALLOC": make_localizer("CALLOC", epochs_per_lesson=8, seed=0),
-        "ANVIL": make_localizer("ANVIL", epochs=40, seed=0),
-        "KNN": make_localizer("KNN", k=5),
+        "CALLOC": LOCALIZERS.create("CALLOC", epochs_per_lesson=8, seed=0),
+        "ANVIL": LOCALIZERS.create("ANVIL", epochs=40, seed=0),
+        "KNN": LOCALIZERS.create("KNN", k=5),
     }
     for model in models.values():
         model.fit(campaign.train)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import LocalizationService, make_attack, make_localizer
+from repro import ATTACKS, LOCALIZERS, LocalizationService
 from repro.attacks import ThreatModel, attack_dataset
 from repro.data import CampaignConfig, collect_campaign, paper_building
 
@@ -52,7 +52,7 @@ def main() -> None:
     print()
 
     # An undefended DNN baseline trained on the same database, built by name.
-    dnn = make_localizer("DNN", epochs=40, seed=0)
+    dnn = LOCALIZERS.create("DNN", epochs=40, seed=0)
     dnn.fit(campaign.train)
 
     # ------------------------------------------------------------------
@@ -72,8 +72,8 @@ def main() -> None:
     # Channel-side MITM attack: FGSM perturbations on 50% of the APs.
     # ------------------------------------------------------------------
     threat = ThreatModel(epsilon=0.3, phi_percent=50.0, seed=3)
-    attacked_for_calloc = attack_dataset(online, make_attack("FGSM", threat), calloc)
-    attacked_for_dnn = attack_dataset(online, make_attack("FGSM", threat), dnn)
+    attacked_for_calloc = attack_dataset(online, ATTACKS.create("FGSM", threat), calloc)
+    attacked_for_dnn = attack_dataset(online, ATTACKS.create("FGSM", threat), dnn)
     print("Under white-box FGSM attack (epsilon=0.3, phi=50% of APs):")
     print(f"  CALLOC mean error: {service.evaluate(attacked_for_calloc).mean:.2f} m")
     print(f"  DNN    mean error: {dnn.error_summary(attacked_for_dnn).mean:.2f} m")

@@ -13,15 +13,16 @@ Localization.  The package provides:
 * :mod:`repro.defenses` — the pluggable defense subsystem: curriculum and
   PGD adversarial training generalized to any gradient-capable localizer,
   input-noise smoothing, and the statistical adversarial-fingerprint
-  detector served as an online guard (``@register_defense`` /
-  :func:`make_defense`, declarable via :class:`DefenseSpec`);
+  detector served as an online guard (``@DEFENSES.register`` /
+  ``DEFENSES.create``, declarable via :class:`DefenseSpec`);
 * :mod:`repro.baselines` — the state-of-the-art localizers CALLOC is compared
   against (KNN, GPC, DNN, CNN, AdvLoc, ANVIL, SANGRIA, WiDeep, ...);
 * :mod:`repro.eval` — metrics, scenario grids and the experiment harness that
   regenerates every table and figure of the paper's evaluation;
-* :mod:`repro.registry` — the plugin registry every model and attack is
-  published through (``@register_localizer`` / ``@register_attack``,
-  :func:`make_localizer` / :func:`make_attack`);
+* :mod:`repro.registry` — the plugin registries every model, attack,
+  robustness scenario and defense is published through: :data:`LOCALIZERS`,
+  :data:`ATTACKS`, :data:`SCENARIOS` and :data:`DEFENSES`, each with
+  ``register`` (a decorator), ``create`` and ``names``;
 * :mod:`repro.api` — the declarative entry point: serializable
   :class:`ExperimentSpec` experiments executed by :func:`run_experiment`
   (in-process, or by queue workers at ``jobs>1``), and the
@@ -64,24 +65,11 @@ from .interfaces import (
     Localizer,
     localization_errors,
 )
-from .registry import (
-    available_attacks,
-    available_defenses,
-    available_localizers,
-    available_scenarios,
-    make_attack,
-    make_defense,
-    make_localizer,
-    make_scenario,
-    register_attack,
-    register_defense,
-    register_localizer,
-    register_scenario,
-)
+from .registry import ATTACKS, DEFENSES, LOCALIZERS, SCENARIOS
 from .queue import QueueWorker, RunLedger, WorkerOptions, collect_results
 from .serve import Gateway, MicroBatcher, ModelStore, ServiceClient
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "CALLOC",
@@ -108,17 +96,9 @@ __all__ = [
     "QueueWorker",
     "WorkerOptions",
     "collect_results",
-    "register_localizer",
-    "register_attack",
-    "register_scenario",
-    "register_defense",
-    "make_localizer",
-    "make_attack",
-    "make_scenario",
-    "make_defense",
-    "available_localizers",
-    "available_attacks",
-    "available_scenarios",
-    "available_defenses",
+    "LOCALIZERS",
+    "ATTACKS",
+    "SCENARIOS",
+    "DEFENSES",
     "__version__",
 ]

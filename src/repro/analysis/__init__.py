@@ -3,8 +3,8 @@
 An AST-based invariant linter for the reproduction's own guarantees: the
 things runtime tests only catch *after* a violation ships.  It parses the
 whole ``repro`` source tree once (:mod:`~repro.analysis.walker`) and runs a
-pluggable registry of rules (the fifth registry in :mod:`repro.registry`,
-``@register_lint_rule`` / ``available_lint_rules``):
+pluggable registry of rules (:data:`repro.registry.LINT_RULES`,
+``@LINT_RULES.register`` / ``LINT_RULES.names()``):
 
 =====  ==============================================================
  R1    determinism — seeded ``default_rng``/``stable_seed`` only; no

@@ -1,6 +1,6 @@
 """The built-in invariant rules of ``repro lint``.
 
-Importing this package runs the ``@register_lint_rule`` decorators that
+Importing this package runs the ``@LINT_RULES.register`` decorators that
 populate :data:`repro.registry.LINT_RULES` (it is the registry's lazy
 module):
 

@@ -13,8 +13,8 @@ the call happens
 
 * inside :func:`write_atomic` / :func:`write_text_atomic` themselves, or
 * inside a writer function (or lambda) that is passed to
-  ``write_atomic``/``_write_atomic``/``write_text_atomic`` in the same
-  module — the canonical ``def writer(temp_path): ...`` pattern.
+  ``write_atomic``/``write_text_atomic`` in the same module — the canonical
+  ``def writer(temp_path): ...`` pattern.
 
 Deliberate non-atomic writes (the queue's lease-claim temp file that is
 published via ``os.link``, the store's advisory-lock file) carry
@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from ...registry import register_lint_rule
+from ...registry import LINT_RULES
 from ..base import LintFinding, LintRule
 from ..walker import SourceModule, SourceTree, call_name, iter_parents
 
@@ -45,7 +45,7 @@ _SCOPES = (
 )
 
 #: The sanctioned atomic-write entry points.
-_ATOMIC_FUNCS = {"write_atomic", "_write_atomic", "write_text_atomic"}
+_ATOMIC_FUNCS = {"write_atomic", "write_text_atomic"}
 
 #: Calls that serialise straight to a path/handle.
 _DIRECT_WRITERS = {
@@ -99,7 +99,7 @@ def _sanctioned_writers(module: SourceModule) -> Set[ast.AST]:
     return sanctioned_nodes
 
 
-@register_lint_rule("R3", tags=("durability",), aliases=("atomic-writes",))
+@LINT_RULES.register("R3", tags=("durability",), aliases=("atomic-writes",))
 class AtomicWriteRule(LintRule):
     """Durable-state writes must route through ``write_atomic``."""
 

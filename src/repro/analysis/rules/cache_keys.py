@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set
 
-from ...registry import register_lint_rule
+from ...registry import LINT_RULES
 from ..base import LintFinding, LintRule
 from ..walker import SourceModule, SourceTree, annotation_base, call_name
 
@@ -147,7 +147,7 @@ class _TypeEnv:
         return None
 
 
-@register_lint_rule("R2", tags=("cache",), aliases=("cache-keys",))
+@LINT_RULES.register("R2", tags=("cache",), aliases=("cache-keys",))
 class CacheKeyCompletenessRule(LintRule):
     """Cross-check spec dataclass fields against digest payload expressions."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from ...registry import register_lint_rule
+from ...registry import LINT_RULES
 from ..base import LintFinding, LintRule
 from ..walker import SourceTree, call_name, module_imports
 
@@ -69,7 +69,7 @@ _WALLCLOCK_SCOPES = (
 )
 
 
-@register_lint_rule("R1", tags=("determinism",), aliases=("determinism",))
+@LINT_RULES.register("R1", tags=("determinism",), aliases=("determinism",))
 class DeterminismRule(LintRule):
     """Flag unseeded global RNG use and wall-clock reads in hot paths."""
 

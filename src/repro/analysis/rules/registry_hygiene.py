@@ -1,6 +1,7 @@
 """R5 — registry hygiene: literal, unique, catalog-safe component names.
 
-Every ``@register_*`` name is part of the public contract: it appears in
+Every registered name (``@LOCALIZERS.register("KNN")`` and its siblings on
+the other registries) is part of the public contract: it appears in
 ``ExperimentSpec`` JSON files, queue-ledger manifests, store manifests and
 the machine-readable catalogs served over HTTP.  The rule therefore
 requires, for every registration call across the tree:
@@ -13,10 +14,6 @@ requires, for every registration call across the tree:
 * each name **round-trips through JSON** unchanged and carries no control
   characters or surrounding whitespace, so catalog documents, spec files and
   ledger manifests can embed it verbatim.
-
-``repro/registry.py`` itself is exempt: its ``register_*`` wrappers forward
-a ``name`` variable by construction and are the mechanism, not a
-registration site.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import ast
 import json
 from typing import Dict, List, Optional, Tuple
 
-from ...registry import register_lint_rule
+from ...registry import LINT_RULES
 from ..base import LintFinding, LintRule
 from ..walker import SourceModule, SourceTree, call_name
 
@@ -33,21 +30,12 @@ __all__ = ["RegistryHygieneRule"]
 
 #: Registration entry points -> the registry namespace they populate.
 _REGISTER_FUNCS = {
-    "register_localizer": "localizer",
-    "register_attack": "attack",
-    "register_scenario": "scenario",
-    "register_defense": "defense",
-    "register_lint_rule": "lint rule",
-    "register_router_policy": "router policy",
     "LOCALIZERS.register": "localizer",
     "ATTACKS.register": "attack",
     "SCENARIOS.register": "scenario",
     "DEFENSES.register": "defense",
     "LINT_RULES.register": "lint rule",
-    "ROUTER_POLICIES.register": "router policy",
 }
-
-_EXEMPT_MODULES = ("repro/registry.py",)
 
 
 def _literal_str(node: ast.AST) -> Optional[str]:
@@ -68,7 +56,7 @@ def _name_problem(name: str) -> Optional[str]:
     return None
 
 
-@register_lint_rule("R5", tags=("registry",), aliases=("registry-hygiene",))
+@LINT_RULES.register("R5", tags=("registry",), aliases=("registry-hygiene",))
 class RegistryHygieneRule(LintRule):
     """Registered names must be literal, unique and JSON-catalog-safe."""
 
@@ -80,8 +68,6 @@ class RegistryHygieneRule(LintRule):
         #: (registry, casefolded name) -> first registration location
         seen: Dict[Tuple[str, str], str] = {}
         for module in tree.modules:
-            if module.relpath in _EXEMPT_MODULES:
-                continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from ...registry import register_lint_rule
+from ...registry import LINT_RULES
 from ..base import LintFinding, LintRule
 from ..walker import SourceModule, SourceTree, call_name, iter_parents
 
@@ -191,7 +191,7 @@ def _lock_guarded(node: ast.AST, locks: Set[str]) -> bool:
     return False
 
 
-@register_lint_rule("R4", tags=("thread-safety",), aliases=("shared-state",))
+@LINT_RULES.register("R4", tags=("thread-safety",), aliases=("shared-state",))
 class SharedStateRule(LintRule):
     """Mutated module-level containers must be thread-local or lock-guarded."""
 

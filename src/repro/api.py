@@ -14,7 +14,7 @@ X, attack it with Y, evaluate on Z" into *data*:
   :mod:`repro.nn.serialization`.
 
 Models and attacks are referenced by their :mod:`repro.registry` names, so
-anything registered with ``@register_localizer`` / ``@register_attack`` is
+anything registered with ``@LOCALIZERS.register`` / ``@ATTACKS.register`` is
 immediately scriptable::
 
     spec = ExperimentSpec.from_dict({
@@ -42,7 +42,7 @@ from .eval.runner import ResultSet
 from .eval.scenarios import AttackScenario, EvaluationConfig
 from .interfaces import ErrorSummary, Localizer
 from .nn.serialization import load_state_dict, save_state_dict
-from .registry import ATTACKS, LOCALIZERS, make_localizer
+from .registry import ATTACKS, LOCALIZERS
 
 __all__ = [
     "PROFILES",
@@ -536,7 +536,7 @@ class LocalizationService:
         self.localizer: Localizer = (
             _localizer
             if _localizer is not None
-            else make_localizer(self.model_name, **self.params)
+            else LOCALIZERS.create(self.model_name, **self.params)
         )
         self._rp_positions: Optional[np.ndarray] = None
         self._num_aps: Optional[int] = None

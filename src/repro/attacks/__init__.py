@@ -10,7 +10,6 @@ from .base import Attack, GradientProvider, ThreatModel, no_attack, select_targe
 from .fgsm import FGSMAttack
 from .mim import MIMAttack
 from .mitm import (
-    MITMScenario,
     SignalManipulationAttack,
     SignalSpoofingAttack,
     attack_dataset,
@@ -28,7 +27,6 @@ __all__ = [
     "FGSMAttack",
     "PGDAttack",
     "MIMAttack",
-    "MITMScenario",
     "SignalManipulationAttack",
     "SignalSpoofingAttack",
     "attack_dataset",

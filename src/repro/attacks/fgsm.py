@@ -17,13 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..registry import register_attack
+from ..registry import ATTACKS
 from .base import Attack, GradientProvider, ThreatModel
 
 __all__ = ["FGSMAttack"]
 
 
-@register_attack("FGSM", tags=("crafting",))
+@ATTACKS.register("FGSM", tags=("crafting",))
 class FGSMAttack(Attack):
     """One-step sign-gradient attack."""
 

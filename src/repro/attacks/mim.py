@@ -12,13 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..registry import register_attack
+from ..registry import ATTACKS
 from .base import Attack, GradientProvider, ThreatModel
 
 __all__ = ["MIMAttack"]
 
 
-@register_attack("MIM", tags=("crafting",))
+@ATTACKS.register("MIM", tags=("crafting",))
 class MIMAttack(Attack):
     """Momentum-based iterative sign-gradient attack."""
 

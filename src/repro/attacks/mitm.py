@@ -16,25 +16,23 @@ measurement survives underneath the perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..data.fingerprint import FingerprintDataset, denormalize_rss, normalize_rss
-from ..registry import make_attack, register_attack
+from ..data.fingerprint import FingerprintDataset, denormalize_rss
+from ..registry import ATTACKS
 from .base import Attack, GradientProvider, ThreatModel
 
 __all__ = [
     "replay_survey",
     "SignalManipulationAttack",
     "SignalSpoofingAttack",
-    "MITMScenario",
     "attack_dataset",
 ]
 
 
-@register_attack("MITM-manipulation", tags=("mitm",), aliases=("manipulation",))
+@ATTACKS.register("MITM-manipulation", tags=("mitm",), aliases=("manipulation",))
 class SignalManipulationAttack(Attack):
     """MITM signal manipulation: perturb the genuine RSS of targeted APs."""
 
@@ -42,7 +40,7 @@ class SignalManipulationAttack(Attack):
 
     def __init__(self, threat_model: ThreatModel, method: str = "FGSM", **kwargs) -> None:
         super().__init__(threat_model)
-        self.crafter = make_attack(method, threat_model, **kwargs)
+        self.crafter = ATTACKS.create(method, threat_model, **kwargs)
 
     def perturb(
         self,
@@ -68,7 +66,7 @@ def replay_survey(dataset: FingerprintDataset) -> np.ndarray:
     return dataset.features.mean(axis=0)
 
 
-@register_attack("MITM-spoofing", tags=("mitm",), aliases=("spoofing",))
+@ATTACKS.register("MITM-spoofing", tags=("mitm",), aliases=("spoofing",))
 class SignalSpoofingAttack(Attack):
     """MITM signal spoofing: replace targeted APs with counterfeit signals.
 
@@ -96,7 +94,7 @@ class SignalSpoofingAttack(Attack):
         **kwargs,
     ) -> None:
         super().__init__(threat_model)
-        self.crafter = make_attack(method, threat_model, **kwargs)
+        self.crafter = ATTACKS.create(method, threat_model, **kwargs)
         #: Per-AP replay values used as the counterfeit baseline (normalised).
         self.replay_features = replay_features
 
@@ -126,27 +124,6 @@ class SignalSpoofingAttack(Attack):
         spoofed[:, mask] = replay[mask]
         # Step 2: adversarial perturbation is crafted on the spoofed signal.
         return self.crafter.perturb(spoofed, labels, victim, target_mask=mask)
-
-
-@dataclass
-class MITMScenario:
-    """A complete channel-side attack scenario applied to a test dataset."""
-
-    threat_model: ThreatModel
-    method: str = "FGSM"
-    variant: str = "manipulation"
-
-    def build(self, replay_features: Optional[np.ndarray] = None, **kwargs) -> Attack:
-        """Instantiate the underlying attack object."""
-        if self.variant == "manipulation":
-            return SignalManipulationAttack(self.threat_model, method=self.method, **kwargs)
-        if self.variant == "spoofing":
-            return SignalSpoofingAttack(
-                self.threat_model, method=self.method, replay_features=replay_features, **kwargs
-            )
-        raise ValueError(
-            f"unknown MITM variant '{self.variant}'; expected 'manipulation' or 'spoofing'"
-        )
 
 
 def attack_dataset(

@@ -12,13 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..registry import register_attack
+from ..registry import ATTACKS
 from .base import Attack, GradientProvider, ThreatModel
 
 __all__ = ["PGDAttack"]
 
 
-@register_attack("PGD", tags=("crafting",))
+@ATTACKS.register("PGD", tags=("crafting",))
 class PGDAttack(Attack):
     """Multi-step projected sign-gradient attack."""
 

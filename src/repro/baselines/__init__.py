@@ -3,7 +3,7 @@
 Includes the classical models used in Fig. 1 (KNN, GPC, DNN) and the
 advanced frameworks of the Fig. 6/7 comparison (AdvLoc, SANGRIA, ANVIL,
 WiDeep), plus the substrates they need (gradient-boosted trees and
-autoencoders).  :func:`repro.registry.make_localizer` builds any of them by
+autoencoders).  ``repro.registry.LOCALIZERS.create`` builds any of them by
 name.
 """
 

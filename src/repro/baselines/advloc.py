@@ -17,13 +17,13 @@ import numpy as np
 
 from ..attacks.base import ThreatModel
 from ..attacks.fgsm import FGSMAttack
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from .dnn import DNNLocalizer
 
 __all__ = ["AdvLocLocalizer"]
 
 
-@register_localizer("AdvLoc", tags=("baseline", "neural", "defended"))
+@LOCALIZERS.register("AdvLoc", tags=("baseline", "neural", "defended"))
 class AdvLocLocalizer(DNNLocalizer):
     """DNN localizer with one-shot FGSM adversarial training."""
 

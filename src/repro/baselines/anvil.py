@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Linear, Module, MultiHeadAttention, ReLU, Tensor
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from .neural import NeuralNetworkLocalizer
 
 __all__ = ["ANVILLocalizer"]
@@ -49,7 +49,7 @@ class _ANVILNetwork(Module):
         return self.classifier(hidden)
 
 
-@register_localizer("ANVIL", tags=("baseline", "neural", "defended"))
+@LOCALIZERS.register("ANVIL", tags=("baseline", "neural", "defended"))
 class ANVILLocalizer(NeuralNetworkLocalizer):
     """Multi-head attention localizer (smartphone-invariant, attack-unaware)."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Conv1d, Flatten, Linear, MaxPool1d, Module, ReLU, Sequential, Tensor
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from .neural import NeuralNetworkLocalizer
 
 __all__ = ["CNNLocalizer"]
@@ -24,7 +24,7 @@ class _ReshapeTo1d(Module):
         return inputs.reshape(batch, 1, aps)
 
 
-@register_localizer("CNN", tags=("baseline", "neural"))
+@LOCALIZERS.register("CNN", tags=("baseline", "neural"))
 class CNNLocalizer(NeuralNetworkLocalizer):
     """1-D CNN over the RSS vector with a dense classification head."""
 

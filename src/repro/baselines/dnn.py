@@ -7,13 +7,13 @@ from typing import Sequence
 import numpy as np
 
 from ..nn import Dropout, Linear, Module, ReLU, Sequential
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from .neural import NeuralNetworkLocalizer
 
 __all__ = ["DNNLocalizer"]
 
 
-@register_localizer("DNN", tags=("baseline", "neural"))
+@LOCALIZERS.register("DNN", tags=("baseline", "neural"))
 class DNNLocalizer(NeuralNetworkLocalizer):
     """Plain multi-layer perceptron over normalised RSS features."""
 

@@ -15,12 +15,12 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 
 __all__ = ["GaussianProcessLocalizer"]
 
 
-@register_localizer("GPC", tags=("baseline", "classical"))
+@LOCALIZERS.register("GPC", tags=("baseline", "classical"))
 class GaussianProcessLocalizer(Localizer):
     """One-vs-rest GP regression with an RBF kernel over RSS features."""
 

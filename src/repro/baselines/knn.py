@@ -8,12 +8,12 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 
 __all__ = ["KNNLocalizer"]
 
 
-@register_localizer("KNN", tags=("baseline", "classical"))
+@LOCALIZERS.register("KNN", tags=("baseline", "classical"))
 class KNNLocalizer(Localizer):
     """Classify a fingerprint by majority vote among its k nearest neighbours.
 

@@ -6,12 +6,12 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 
 __all__ = ["NaiveBayesLocalizer"]
 
 
-@register_localizer("NaiveBayes", tags=("baseline", "classical"))
+@LOCALIZERS.register("NaiveBayes", tags=("baseline", "classical"))
 class NaiveBayesLocalizer(Localizer):
     """Attribute-independent Gaussian Naive Bayes over normalised RSS features."""
 

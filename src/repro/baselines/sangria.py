@@ -16,14 +16,14 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from .autoencoder import StackedAutoencoder
 from .gbdt import GradientBoostedClassifier
 
 __all__ = ["SANGRIALocalizer"]
 
 
-@register_localizer("SANGRIA", tags=("baseline", "defended"))
+@LOCALIZERS.register("SANGRIA", tags=("baseline", "defended"))
 class SANGRIALocalizer(Localizer):
     """Stacked-autoencoder encoder with a gradient-boosted tree classifier."""
 

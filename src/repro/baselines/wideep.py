@@ -15,14 +15,14 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from .autoencoder import DenoisingAutoencoder
 from .gpc import GaussianProcessLocalizer
 
 __all__ = ["WiDeepLocalizer"]
 
 
-@register_localizer("WiDeep", tags=("baseline", "defended"))
+@LOCALIZERS.register("WiDeep", tags=("baseline", "defended"))
 class WiDeepLocalizer(Localizer):
     """De-noising autoencoder front-end with a GPC classification head."""
 

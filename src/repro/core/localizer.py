@@ -24,7 +24,7 @@ from ..data.fingerprint import FingerprintDataset
 from ..defenses.curriculum import Curriculum
 from ..interfaces import DifferentiableLocalizer
 from ..nn import CrossEntropyLoss, Tensor, no_grad
-from ..registry import register_localizer
+from ..registry import LOCALIZERS
 from . import kernels
 from .adaptive import AdaptiveConfig
 from .model import CALLOCModel
@@ -33,7 +33,7 @@ from .trainer import CALLOCTrainer, TrainerConfig, TrainingReport, input_loss_gr
 __all__ = ["CALLOC"]
 
 
-@register_localizer("CALLOC", tags=("framework",))
+@LOCALIZERS.register("CALLOC", tags=("framework",))
 class CALLOC(DifferentiableLocalizer):
     """Curriculum Adversarial Learning for secure and robust indoor localization.
 

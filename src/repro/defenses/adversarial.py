@@ -20,13 +20,13 @@ from ..attacks.base import ThreatModel
 from ..attacks.pgd import PGDAttack
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_defense
+from ..registry import DEFENSES
 from .base import Defense, override_epochs, require_trainable
 
 __all__ = ["PGDAdversarialTrainingDefense"]
 
 
-@register_defense(
+@DEFENSES.register(
     "pgd-adversarial",
     tags=("training", "adversarial"),
     aliases=("adversarial-training", "pgd-at"),

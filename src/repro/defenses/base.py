@@ -20,19 +20,20 @@ A defense may act at either (or both) of two points in a model's life:
   exercised per request by :class:`repro.serve.Gateway` with flagged/rejected
   counters on ``GET /metrics``.
 
-Defenses are registered with :func:`repro.registry.register_defense` and
-referenced declaratively through :class:`DefenseSpec` — in
-:class:`repro.api.ExperimentSpec` (``defenses=("curriculum",)``), on the CLI
-(``repro run --defense curriculum``), and in the execution engine, where a
-defended training unit is cached content-addressed under a key embedding the
-full defense spec (in-process ≡ queue-drained ``jobs=N``, cold ≡ warm cache).
+Defenses are registered with ``@DEFENSES.register`` (the
+:data:`repro.registry.DEFENSES` registry) and referenced declaratively
+through :class:`DefenseSpec` — in :class:`repro.api.ExperimentSpec`
+(``defenses=("curriculum",)``), on the CLI (``repro run --defense
+curriculum``), and in the execution engine, where a defended training unit
+is cached content-addressed under a key embedding the full defense spec
+(in-process ≡ queue-drained ``jobs=N``, cold ≡ warm cache).
 
 Adding a defense family::
 
-    from repro.registry import register_defense
+    from repro.registry import DEFENSES
     from repro.defenses import Defense
 
-    @register_defense("distillation", tags=("training",))
+    @DEFENSES.register("distillation", tags=("training",))
     class DistillationDefense(Defense):
         name = "distillation"
         hardens_training = True
@@ -250,10 +251,10 @@ class DefenseSpec(ComponentSpec):
 # ----------------------------------------------------------------------
 # The baseline row of every defense matrix
 # ----------------------------------------------------------------------
-from ..registry import register_defense  # noqa: E402  (decorator use below)
+from ..registry import DEFENSES  # noqa: E402  (decorator use below)
 
 
-@register_defense("none", tags=("baseline",), aliases=("undefended",))
+@DEFENSES.register("none", tags=("baseline",), aliases=("undefended",))
 class NoDefense(Defense):
     """No hardening at all: the undefended reference row of a defense matrix.
 

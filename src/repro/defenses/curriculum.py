@@ -32,7 +32,7 @@ from ..attacks.base import GradientProvider, ThreatModel
 from ..attacks.fgsm import FGSMAttack
 from ..data.fingerprint import FingerprintDataset
 from ..interfaces import Localizer
-from ..registry import register_defense
+from ..registry import DEFENSES
 from .base import Defense, override_epochs, require_trainable
 
 __all__ = [
@@ -191,7 +191,7 @@ class LessonBuilder:
 # ----------------------------------------------------------------------
 # The defense: curriculum training for any gradient-capable localizer
 # ----------------------------------------------------------------------
-@register_defense(
+@DEFENSES.register(
     "curriculum", tags=("training", "adversarial"), aliases=("curriculum-adversarial",)
 )
 class CurriculumAdversarialDefense(Defense):

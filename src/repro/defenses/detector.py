@@ -25,13 +25,13 @@ from typing import Dict, Mapping
 import numpy as np
 
 from ..data.fingerprint import FingerprintDataset
-from ..registry import register_defense
+from ..registry import DEFENSES
 from .base import Defense, GuardReport
 
 __all__ = ["FingerprintDetectorDefense"]
 
 
-@register_defense(
+@DEFENSES.register(
     "detector",
     tags=("inference", "detector"),
     aliases=("fingerprint-detector",),

@@ -15,13 +15,13 @@ import numpy as np
 
 from ..data.fingerprint import FingerprintDataset, denormalize_rss
 from ..interfaces import Localizer
-from ..registry import register_defense
+from ..registry import DEFENSES
 from .base import Defense
 
 __all__ = ["InputNoiseDefense"]
 
 
-@register_defense(
+@DEFENSES.register(
     "input-noise",
     tags=("training", "universal"),
     aliases=("randomized-smoothing", "smoothing"),

@@ -92,7 +92,7 @@ from ..data.floorplan import paper_building
 from ..defenses.base import DefenseSpec
 from ..interfaces import Localizer
 from ..nn.serialization import load_state_dict, save_state_dict
-from ..registry import LOCALIZERS, make_attack, make_localizer
+from ..registry import ATTACKS, LOCALIZERS
 from .metrics import ErrorStats, error_stats
 from .robustness import ScenarioSpec
 from .runner import EvaluationRecord, ResultSet
@@ -101,7 +101,6 @@ from .scenarios import AttackScenario, EvaluationConfig
 __all__ = [
     "CACHE_DIR_ENV",
     "default_cache_dir",
-    "write_atomic",
     "cache_key",
     "ArtifactCache",
     "CacheStats",
@@ -263,9 +262,6 @@ class ArtifactCache:
     def path_for(self, kind: str, digest: str, extension: str) -> Path:
         return self.root / kind / digest[:2] / f"{digest}.{extension}"
 
-    def _write_atomic(self, path: Path, writer) -> None:
-        write_atomic(path, writer)
-
     def _read_or_discard(self, path: Path, loader) -> Optional[Any]:
         """Load one artefact file, treating an unreadable one as absent.
 
@@ -308,7 +304,7 @@ class ArtifactCache:
             with temp_path.open("wb") as stream:
                 pickle.dump(value, stream, protocol=pickle.HIGHEST_PROTOCOL)
 
-        self._write_atomic(self.path_for(kind, digest, "pkl"), writer)
+        write_atomic(self.path_for(kind, digest, "pkl"), writer)
         self.stats.record_store()
 
     # -- array payloads (via repro.nn.serialization) --------------------
@@ -369,7 +365,7 @@ class ArtifactCache:
             def writer(temp_path: Path) -> None:
                 temp_path.write_bytes(source.read_bytes())
 
-            self._write_atomic(destination, writer)
+            write_atomic(destination, writer)
             return destination
         raise FileNotFoundError(
             f"no '{kind}' artefact {digest[:12]}… under {self.root}"
@@ -381,7 +377,7 @@ class ArtifactCache:
             # a name that already carries it so the temp path stays stable.
             return save_state_dict(arrays, temp_path.with_suffix(".npz"))
 
-        self._write_atomic(self.path_for(kind, digest, "npz"), writer)
+        write_atomic(self.path_for(kind, digest, "npz"), writer)
         self.stats.record_store()
 
     def __repr__(self) -> str:
@@ -440,7 +436,7 @@ class ModelTask:
 
     def build(self) -> Localizer:
         """Instantiate a fresh, untrained localizer for this task."""
-        return make_localizer(self.name, **self.param_dict)
+        return LOCALIZERS.create(self.name, **self.param_dict)
 
 
 @dataclass(frozen=True)
@@ -817,7 +813,7 @@ def _build_attack(scenario: AttackScenario, campaign: LocalizationCampaign) -> A
     building — a property of the campaign, never of the batch a unit happens
     to score (which would make results depend on engine sharding).
     """
-    attack = make_attack(
+    attack = ATTACKS.create(
         scenario.method,
         ThreatModel(
             epsilon=scenario.epsilon,

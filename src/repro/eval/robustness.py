@@ -27,12 +27,13 @@ with the existing models × buildings × devices grid:
     (:mod:`repro.attacks.surrogate`), even against natively differentiable
     victims.
 
-A scenario is registered with :func:`repro.registry.register_scenario` and
-referenced declaratively through :class:`ScenarioSpec` — in
-:class:`repro.api.ExperimentSpec` (``robustness=("drift", "ap-outage")``), on
-the CLI (``repro run --scenario drift``), and in the execution engine, where
-each (model, building, device, scenario) cell is one cached, deterministic
-work unit (in-process ≡ queue-drained ``jobs=N``, cold ≡ warm cache).
+A scenario is registered with ``@SCENARIOS.register`` (the
+:data:`repro.registry.SCENARIOS` registry) and referenced declaratively
+through :class:`ScenarioSpec` — in :class:`repro.api.ExperimentSpec`
+(``robustness=("drift", "ap-outage")``), on the CLI (``repro run --scenario
+drift``), and in the execution engine, where each (model, building, device,
+scenario) cell is one cached, deterministic work unit (in-process ≡
+queue-drained ``jobs=N``, cold ≡ warm cache).
 
 Every scenario derives all of its randomness from a :func:`stable_seed` over
 its own seed plus the names of the entities involved, never from shared RNG
@@ -40,10 +41,10 @@ state — two processes evaluating the same cell draw bit-identical conditions.
 
 Adding a scenario family::
 
-    from repro.registry import register_scenario
+    from repro.registry import SCENARIOS
     from repro.eval.robustness import RobustnessScenario
 
-    @register_scenario("jammer", tags=("adversarial",))
+    @SCENARIOS.register("jammer", tags=("adversarial",))
     class JammerScenario(RobustnessScenario):
         name = "jammer"
 
@@ -66,7 +67,7 @@ from ..data.propagation import (
     RSS_FLOOR_DBM,
     correlated_shadowing_field,
 )
-from ..registry import SCENARIOS, ComponentSpec, register_scenario
+from ..registry import SCENARIOS, ComponentSpec
 from .scenarios import AttackScenario
 
 __all__ = [
@@ -174,7 +175,7 @@ class ScenarioSpec(ComponentSpec):
 # ----------------------------------------------------------------------
 # Scenario families
 # ----------------------------------------------------------------------
-@register_scenario("clean", tags=("baseline",))
+@SCENARIOS.register("clean", tags=("baseline",))
 class CleanScenario(RobustnessScenario):
     """Unmodified online phase: the reference row of every robustness matrix."""
 
@@ -182,7 +183,7 @@ class CleanScenario(RobustnessScenario):
     transforms_test = False
 
 
-@register_scenario("drift", tags=("environment",), aliases=("temporal-drift",))
+@SCENARIOS.register("drift", tags=("environment",), aliases=("temporal-drift",))
 class TemporalDriftScenario(RobustnessScenario):
     """Temporal drift: re-drawn shadow fading and shifted AP transmit powers.
 
@@ -232,7 +233,7 @@ class TemporalDriftScenario(RobustnessScenario):
         return test.with_rss(np.where(detected, drifted, RSS_FLOOR_DBM))
 
 
-@register_scenario("ap-outage", tags=("infrastructure",), aliases=("outage",))
+@SCENARIOS.register("ap-outage", tags=("infrastructure",), aliases=("outage",))
 class APOutageScenario(RobustnessScenario):
     """Infrastructure failure: *k* access points go dark at test time.
 
@@ -285,7 +286,7 @@ class APOutageScenario(RobustnessScenario):
         return test.with_rss(rss)
 
 
-@register_scenario("rogue-ap", tags=("infrastructure", "adversarial"), aliases=("rogue",))
+@SCENARIOS.register("rogue-ap", tags=("infrastructure", "adversarial"), aliases=("rogue",))
 class RogueAPScenario(RobustnessScenario):
     """Counterfeit infrastructure: rogue transmitters clone AP identities.
 
@@ -338,7 +339,7 @@ class RogueAPScenario(RobustnessScenario):
         return test.with_rss(rss)
 
 
-@register_scenario("unseen-device", tags=("generalization",), aliases=("lodo",))
+@SCENARIOS.register("unseen-device", tags=("generalization",), aliases=("lodo",))
 class UnseenDeviceScenario(RobustnessScenario):
     """Leave-one-device-out generalization split.
 
@@ -358,7 +359,7 @@ class UnseenDeviceScenario(RobustnessScenario):
         return campaign.leave_one_device_out(device).train
 
 
-@register_scenario("adaptive-blackbox", tags=("adversarial",), aliases=("blackbox",))
+@SCENARIOS.register("adaptive-blackbox", tags=("adversarial",), aliases=("blackbox",))
 class AdaptiveBlackBoxScenario(RobustnessScenario):
     """Adaptive black-box attacker: surrogate-transfer perturbations.
 

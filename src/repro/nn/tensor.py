@@ -17,7 +17,7 @@ attribute during backpropagation.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -587,8 +587,3 @@ class Tensor:
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def tensors_from(values: Iterable[ArrayLike], requires_grad: bool = False) -> list[Tensor]:
-    """Convenience helper converting an iterable of arrays to tensors."""
-    return [Tensor(value, requires_grad=requires_grad) for value in values]

@@ -8,55 +8,48 @@ one decorator and immediately become available to the declarative
 facade and the ``python -m repro`` CLI — no factory dict in three different
 modules to keep in sync.
 
-Registering a localizer::
+Each kind of component has one :class:`Registry` object, and every
+operation goes through it: ``register`` (a decorator), ``create`` and
+``names``.  Registering a localizer::
 
-    from repro.registry import register_localizer
+    from repro.registry import LOCALIZERS
 
-    @register_localizer("MyModel", tags=("baseline",))
+    @LOCALIZERS.register("MyModel", tags=("baseline",))
     class MyLocalizer(Localizer):
         ...
 
 Using it::
 
-    from repro.registry import make_localizer, available_localizers
+    model = LOCALIZERS.create("MyModel", epochs=40)
+    assert "MyModel" in LOCALIZERS.names()
 
-    model = make_localizer("MyModel", epochs=40)
-    assert "MyModel" in available_localizers()
+The five registries:
 
-Attacks follow the same pattern through :func:`register_attack` /
-:func:`make_attack`; an attack factory is always called with the
-:class:`~repro.attacks.base.ThreatModel` as its first argument.
+:data:`LOCALIZERS`
+    CALLOC and the paper's baselines.
+:data:`ATTACKS`
+    The crafting methods and the MITM wrappers; an attack factory is always
+    called with the :class:`~repro.attacks.base.ThreatModel` first
+    (``ATTACKS.create("PGD", threat)``).
+:data:`SCENARIOS`
+    Robustness scenarios: deployment conditions such as temporal drift, AP
+    outages or unseen-device generalization (:mod:`repro.eval.robustness`),
+    declarable in :class:`repro.api.ExperimentSpec` and runnable via
+    ``repro run --scenario``.
+:data:`DEFENSES`
+    Hardening strategies with training-time and/or inference-time hooks
+    (curriculum and PGD adversarial training, input-noise smoothing, the
+    online adversarial-fingerprint detector — :mod:`repro.defenses`),
+    declarable via :class:`repro.defenses.DefenseSpec`
+    (``repro run --defense curriculum``) and served as guards.
+:data:`LINT_RULES`
+    The AST-based invariant checks ``repro lint`` runs over the source tree
+    (:mod:`repro.analysis`), selectable via ``repro lint --rules``.
 
-Robustness scenarios — deployment conditions such as temporal drift, AP
-outages or unseen-device generalization (see :mod:`repro.eval.robustness`) —
-register through :func:`register_scenario` / :func:`make_scenario` and become
-declarable in :class:`repro.api.ExperimentSpec` and runnable via
-``repro run --scenario``.
-
-Defenses — hardening strategies with training-time and/or inference-time
-hooks (curriculum adversarial training, PGD adversarial training, input-noise
-smoothing, the online adversarial-fingerprint detector — see
-:mod:`repro.defenses`) — register through :func:`register_defense` /
-:func:`make_defense` and are declarable via
-:class:`repro.defenses.DefenseSpec` in experiment specs
-(``repro run --defense curriculum``) and as serving guards.
-
-Lint rules — the AST-based invariant checks ``repro lint`` runs over the
-source tree (determinism, cache-key completeness, atomic-write discipline,
-shared-state thread-safety, registry hygiene — see :mod:`repro.analysis`) —
-register through :func:`register_lint_rule` / :func:`make_lint_rule` and are
-selectable via ``repro lint --rules``.
-
-Router policies — how the serving tier treats the deterministic canary
-fraction of a shadowed route (mirror to the candidate in the background, or
-split real traffic onto it — see :mod:`repro.serve.aio.routing`) — register
-through :func:`register_router_policy` / :func:`make_router_policy` and are
-selectable in the ``--route ...,policy=NAME`` serving grammar.
-
-Lookups are case-insensitive (``make_localizer("knn")`` works) and unknown
+Lookups are case-insensitive (``LOCALIZERS.create("knn")`` works) and unknown
 names raise :class:`RegistryError` (a :class:`KeyError`) naming the closest
 registered spellings.  The registries populate themselves lazily: the first
-lookup imports the packages whose modules carry the ``@register_*``
+lookup imports the packages whose modules carry the ``@<REGISTRY>.register``
 decorators, so importing :mod:`repro.registry` stays cheap and free of
 circular imports.
 """
@@ -79,25 +72,6 @@ __all__ = [
     "SCENARIOS",
     "DEFENSES",
     "LINT_RULES",
-    "ROUTER_POLICIES",
-    "register_localizer",
-    "register_attack",
-    "register_scenario",
-    "register_defense",
-    "register_lint_rule",
-    "register_router_policy",
-    "make_localizer",
-    "make_attack",
-    "make_scenario",
-    "make_defense",
-    "make_lint_rule",
-    "make_router_policy",
-    "available_localizers",
-    "available_attacks",
-    "available_scenarios",
-    "available_defenses",
-    "available_lint_rules",
-    "available_router_policies",
 ]
 
 
@@ -158,7 +132,7 @@ class Registry:
         error messages.
     lazy_modules:
         Modules imported on first access; importing them runs the
-        ``@register_*`` decorators that populate the registry.
+        ``@<REGISTRY>.register`` decorators that populate the registry.
     """
 
     kind: str
@@ -175,14 +149,12 @@ class Registry:
         *,
         tags: Iterable[str] = (),
         aliases: Iterable[str] = (),
-        override: bool = False,
     ):
         """Register ``factory`` under ``name``; usable as a decorator.
 
         Re-registering the same factory under the same name is a no-op (so
         modules can be re-imported safely); registering a *different* factory
-        under a taken name raises :class:`RegistryError` unless
-        ``override=True``.
+        under a taken name raises :class:`RegistryError`.
         """
 
         def _register(obj: Callable[..., Any]) -> Callable[..., Any]:
@@ -190,12 +162,12 @@ class Registry:
                 name=name, factory=obj, tags=tuple(tags), aliases=tuple(aliases)
             )
             existing = self._entries.get(name)
-            if existing is not None and not override:
+            if existing is not None:
                 if existing.factory is obj:
                     return obj
                 raise RegistryError(
                     f"{self.kind} '{name}' is already registered "
-                    f"(to {existing.factory!r}); pass override=True to replace it"
+                    f"(to {existing.factory!r})"
                 )
             self._entries[name] = entry
             for key in (name, *entry.aliases):
@@ -256,10 +228,6 @@ class Registry:
         """Sorted entries, optionally restricted to one tag."""
         return [self._entries[name] for name in self.names(tag)]
 
-    def as_dict(self, tag: Optional[str] = None) -> Dict[str, Callable[..., Any]]:
-        """``{name: factory}`` snapshot (what the legacy dicts used to be)."""
-        return {name: self._entries[name].factory for name in self.names(tag)}
-
     def catalog(self, tag: Optional[str] = None) -> List[Dict[str, Any]]:
         """JSON-ready entry list — the machine-readable component catalog.
 
@@ -302,11 +270,6 @@ DEFENSES = Registry("defense", lazy_modules=("repro.defenses",))
 #: determinism (R1), cache-key completeness (R2), atomic-write discipline
 #: (R3), shared-mutable-state thread-safety (R4) and registry hygiene (R5).
 LINT_RULES = Registry("lint rule", lazy_modules=("repro.analysis.rules",))
-
-#: All serving router policies: what happens to the deterministic canary
-#: fraction of a shadowed route — ``mirror`` (score in the background,
-#: compare on /metrics) or ``split`` (serve real traffic from the candidate).
-ROUTER_POLICIES = Registry("router policy", lazy_modules=("repro.serve.aio.routing",))
 
 
 @dataclass(frozen=True)
@@ -397,145 +360,3 @@ class ComponentSpec:
     def build(self) -> Any:
         """Instantiate the referenced family."""
         return self.registry.create(self.name, seed=self.seed, **self.param_dict)
-
-
-def register_localizer(
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    *,
-    tags: Iterable[str] = (),
-    aliases: Iterable[str] = (),
-    override: bool = False,
-):
-    """Register a localizer class/factory under ``name`` (decorator-friendly)."""
-    return LOCALIZERS.register(
-        name, factory, tags=tags, aliases=aliases, override=override
-    )
-
-
-def register_attack(
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    *,
-    tags: Iterable[str] = (),
-    aliases: Iterable[str] = (),
-    override: bool = False,
-):
-    """Register an attack class/factory under ``name`` (decorator-friendly)."""
-    return ATTACKS.register(name, factory, tags=tags, aliases=aliases, override=override)
-
-
-def register_scenario(
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    *,
-    tags: Iterable[str] = (),
-    aliases: Iterable[str] = (),
-    override: bool = False,
-):
-    """Register a robustness-scenario class/factory under ``name``."""
-    return SCENARIOS.register(
-        name, factory, tags=tags, aliases=aliases, override=override
-    )
-
-
-def register_defense(
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    *,
-    tags: Iterable[str] = (),
-    aliases: Iterable[str] = (),
-    override: bool = False,
-):
-    """Register a defense class/factory under ``name`` (decorator-friendly)."""
-    return DEFENSES.register(
-        name, factory, tags=tags, aliases=aliases, override=override
-    )
-
-
-def register_lint_rule(
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    *,
-    tags: Iterable[str] = (),
-    aliases: Iterable[str] = (),
-    override: bool = False,
-):
-    """Register a lint rule class/factory under ``name`` (decorator-friendly)."""
-    return LINT_RULES.register(
-        name, factory, tags=tags, aliases=aliases, override=override
-    )
-
-
-def register_router_policy(
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    *,
-    tags: Iterable[str] = (),
-    aliases: Iterable[str] = (),
-    override: bool = False,
-):
-    """Register a serving router policy under ``name`` (decorator-friendly)."""
-    return ROUTER_POLICIES.register(
-        name, factory, tags=tags, aliases=aliases, override=override
-    )
-
-
-def make_localizer(name: str, **kwargs) -> Any:
-    """Instantiate a registered localizer by name (``make_localizer("KNN", k=3)``)."""
-    return LOCALIZERS.create(name, **kwargs)
-
-
-def make_attack(name: str, threat_model: Any, **kwargs) -> Any:
-    """Instantiate a registered attack by name against a threat model."""
-    return ATTACKS.create(name, threat_model, **kwargs)
-
-
-def make_scenario(name: str, **kwargs) -> Any:
-    """Instantiate a registered robustness scenario by name."""
-    return SCENARIOS.create(name, **kwargs)
-
-
-def make_defense(name: str, **kwargs) -> Any:
-    """Instantiate a registered defense by name (``make_defense("detector")``)."""
-    return DEFENSES.create(name, **kwargs)
-
-
-def make_lint_rule(name: str, **kwargs) -> Any:
-    """Instantiate a registered lint rule by name (``make_lint_rule("R1")``)."""
-    return LINT_RULES.create(name, **kwargs)
-
-
-def make_router_policy(name: str, **kwargs) -> Any:
-    """Instantiate a registered router policy by name (``make_router_policy("mirror")``)."""
-    return ROUTER_POLICIES.create(name, **kwargs)
-
-
-def available_localizers(tag: Optional[str] = None) -> List[str]:
-    """Names of every registered localizer (optionally one tag)."""
-    return LOCALIZERS.names(tag)
-
-
-def available_attacks(tag: Optional[str] = None) -> List[str]:
-    """Names of every registered attack (optionally one tag)."""
-    return ATTACKS.names(tag)
-
-
-def available_scenarios(tag: Optional[str] = None) -> List[str]:
-    """Names of every registered robustness scenario (optionally one tag)."""
-    return SCENARIOS.names(tag)
-
-
-def available_defenses(tag: Optional[str] = None) -> List[str]:
-    """Names of every registered defense (optionally one tag)."""
-    return DEFENSES.names(tag)
-
-
-def available_lint_rules(tag: Optional[str] = None) -> List[str]:
-    """Names of every registered lint rule (optionally one tag)."""
-    return LINT_RULES.names(tag)
-
-
-def available_router_policies(tag: Optional[str] = None) -> List[str]:
-    """Names of every registered serving router policy (optionally one tag)."""
-    return ROUTER_POLICIES.names(tag)

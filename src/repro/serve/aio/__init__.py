@@ -6,8 +6,8 @@ The transport half of :mod:`repro.serve` (the application behind it is
 * :mod:`repro.serve.aio.protocol` — wire codecs (JSON / raw-ndarray /
   optional msgpack) and the shared localize request/response semantics.
 * :mod:`repro.serve.aio.routing` — the ``shadow=REF,fraction=p`` route
-  grammar, deterministic seeded-hash canary selection, the router-policy
-  registry (``mirror``/``split``), paired primary-vs-shadow stats and the
+  grammar, deterministic seeded-hash canary selection, the two route
+  policies (``mirror``/``split``), paired primary-vs-shadow stats and the
   :func:`~repro.serve.aio.routing.canary_ok` promotion gate.
 * :mod:`repro.serve.aio.server` — the keep-alive/pipelining asyncio HTTP
   server bridging into the synchronous micro-batcher, bit-identical to a
@@ -30,15 +30,7 @@ from .protocol import (
     msgpack_available,
     supported_content_types,
 )
-from .routing import (
-    MirrorPolicy,
-    RouteSpec,
-    ShadowStats,
-    SplitPolicy,
-    canary_fraction,
-    canary_ok,
-    parse_route,
-)
+from .routing import RouteSpec, ShadowStats, canary_fraction, canary_ok, parse_route
 
 __all__ = [
     "CONTENT_JSON",
@@ -49,8 +41,6 @@ __all__ = [
     "msgpack_available",
     "supported_content_types",
     "RouteSpec",
-    "MirrorPolicy",
-    "SplitPolicy",
     "ShadowStats",
     "canary_fraction",
     "canary_ok",

@@ -10,8 +10,8 @@ Which requests fall in the fraction is decided by :func:`canary_fraction`, a
 seeded SHA-256 hash of the request's fingerprint bytes — no process state, no
 wall clock, no :mod:`random`: the same request is routed identically by every
 worker process and on every replay (the R1 determinism lint rule covers this
-module).  How the selected requests are treated is a pluggable **router
-policy** (the sixth registry kind in :mod:`repro.registry`):
+module).  The route's ``policy`` says how the selected requests are treated
+(either value in any case; it is stored lowercase):
 
 ``mirror`` (default)
     Every response comes from the primary; selected requests are *also*
@@ -19,7 +19,8 @@ policy** (the sixth registry kind in :mod:`repro.registry`):
     outcomes are compared on ``GET /metrics``.  Zero client-visible risk.
 ``split``
     Selected requests are *served* by the shadow (a true canary): clients on
-    the canary fraction see the candidate's predictions.
+    the canary fraction see the candidate's predictions, and every request
+    the primary serves feeds the primary arm the canary is judged against.
 
 :func:`canary_ok` is the promotion gate behind
 ``repro store promote --if-canary-ok``: it reads the comparison document and
@@ -38,20 +39,12 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ...obs.metrics import MetricsRegistry
-
-# Only repro.registry (and the dependency-free obs.metrics) at module level:
-# this module is imported lazily by the ROUTER_POLICIES registry, and
-# importing anything from repro.serve here would re-enter the serve package
-# while it is still initialising.
-from ...registry import ROUTER_POLICIES, make_router_policy, register_router_policy
+from ..gateway import LATENCY_WINDOW, _ms, percentile
 
 __all__ = [
     "RouteSpec",
     "RoutingDecision",
-    "MirrorPolicy",
-    "SplitPolicy",
     "parse_route",
-    "format_routes_help",
     "canary_fraction",
     "ShadowStats",
     "canary_ok",
@@ -89,13 +82,12 @@ class RouteSpec:
             )
         if self.shadow is None and self.fraction > 0.0:
             raise ValueError("fraction given without a shadow ref")
-        if self.shadow is not None:
-            try:
-                ROUTER_POLICIES.resolve(self.policy)  # raises with did-you-mean
-            except KeyError as error:
-                # RegistryError subclasses KeyError; route parsing promises a
-                # uniform ValueError for every malformed --route value.
-                raise ValueError(str(error.args[0] if error.args else error)) from error
+        policy = str(self.policy).lower()
+        if policy not in ("mirror", "split"):
+            raise ValueError(
+                f"unknown route policy '{self.policy}'; expected mirror or split"
+            )
+        object.__setattr__(self, "policy", policy)
 
     @property
     def has_shadow(self) -> bool:
@@ -107,7 +99,7 @@ class RouteSpec:
             data.update(
                 shadow=self.shadow,
                 fraction=self.fraction,
-                policy=ROUTER_POLICIES.resolve(self.policy),
+                policy=self.policy,
                 seed=self.seed,
             )
         return data
@@ -160,13 +152,6 @@ def parse_route(text: str) -> Tuple[str, RouteSpec]:
     return endpoint.strip(), parse_route_value(remainder)
 
 
-def format_routes_help() -> str:
-    """One-line ``--route`` grammar reminder for CLI help text."""
-    return (
-        "ENDPOINT=REF[,shadow=REF][,fraction=P][,policy=mirror|split][,seed=N]"
-    )
-
-
 # ----------------------------------------------------------------------
 # Deterministic request hashing
 # ----------------------------------------------------------------------
@@ -190,32 +175,12 @@ def canary_fraction(seed: int, features: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """What a router policy decided for one request."""
+    """How one request of a shadowed route is routed (see :func:`decide_route`)."""
 
     #: The shadow serves the request (client sees the candidate's response).
     serve_shadow: bool = False
     #: The shadow additionally scores a copy in the background.
     mirror_shadow: bool = False
-
-
-@register_router_policy("mirror", tags=("shadow",), aliases=("shadow-mirror",))
-class MirrorPolicy:
-    """Primary serves everything; the selected fraction is also mirrored."""
-
-    name = "mirror"
-
-    def decide(self, u: float, fraction: float) -> RoutingDecision:
-        return RoutingDecision(serve_shadow=False, mirror_shadow=u < fraction)
-
-
-@register_router_policy("split", tags=("canary",), aliases=("canary-split",))
-class SplitPolicy:
-    """The selected fraction is *served* by the shadow (true canary traffic)."""
-
-    name = "split"
-
-    def decide(self, u: float, fraction: float) -> RoutingDecision:
-        return RoutingDecision(serve_shadow=u < fraction, mirror_shadow=False)
 
 
 # ----------------------------------------------------------------------
@@ -228,13 +193,7 @@ class _ArmStats:
     ``(endpoint, arm)``; the latency window stays local for exact p50/p99.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        endpoint: str,
-        arm: str,
-        window: int = 1024,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry, endpoint: str, arm: str) -> None:
         label = {"endpoint": endpoint, "arm": arm}
         labelnames = ("endpoint", "arm")
         self._requests = registry.counter(
@@ -257,7 +216,7 @@ class _ArmStats:
             "repro_shadow_arm_latency_seconds",
             "Scoring latency per routing arm", labelnames,
         ).labels(**label)
-        self.latencies: deque = deque(maxlen=window)
+        self.latencies: deque = deque(maxlen=LATENCY_WINDOW)
 
     @property
     def requests(self) -> int:
@@ -286,8 +245,6 @@ class _ArmStats:
         self._errors.inc()
 
     def as_dict(self) -> Dict[str, Any]:
-        from ..gateway import _ms, percentile
-
         window = list(self.latencies)
         fingerprints = self.fingerprints
         rate = self.flagged / fingerprints if fingerprints else None
@@ -308,17 +265,20 @@ class ShadowStats:
     """Paired primary-vs-shadow outcomes of one shadowed endpoint.
 
     Mirrored requests are scored by *both* arms, so the comparison is paired:
-    identical request streams, differing only in the model version.  Windows
-    are bounded (like :class:`~repro.serve.http.EndpointStats`) so a
-    long-lived canary cannot grow memory without limit.  Thread-safe — the
-    shadow arm records from background tasks/threads.
+    identical request streams, differing only in the model version.  A split
+    route compares what each arm served: every primary-served request feeds
+    the primary arm, every shadow-served one the shadow arm (its errors and
+    guard rejections included).  Latency windows hold the last
+    :data:`~repro.serve.gateway.LATENCY_WINDOW` samples, like
+    :class:`~repro.serve.http.EndpointStats`, so a long-lived canary cannot
+    grow memory without limit.  Thread-safe — the shadow arm records from
+    background tasks/threads.
     """
 
     def __init__(
         self,
         endpoint: str,
         spec: RouteSpec,
-        window: int = 1024,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.endpoint = endpoint
@@ -349,8 +309,8 @@ class ShadowStats:
             "repro_shadow_compared_total",
             "Fingerprints compared between primary and shadow",
         )
-        self.primary = _ArmStats(self.registry, endpoint, "primary", window=window)
-        self.shadow = _ArmStats(self.registry, endpoint, "shadow", window=window)
+        self.primary = _ArmStats(self.registry, endpoint, "primary")
+        self.shadow = _ArmStats(self.registry, endpoint, "shadow")
         self._lock = threading.Lock()
 
     @property
@@ -410,7 +370,7 @@ class ShadowStats:
                 "ref": self.spec.ref,
                 "shadow_ref": self.spec.shadow,
                 "fraction": self.spec.fraction,
-                "policy": ROUTER_POLICIES.resolve(self.spec.policy),
+                "policy": self.spec.policy,
                 "seed": self.spec.seed,
                 "requests": self.requests,
                 "mirrored": self.mirrored,
@@ -480,8 +440,15 @@ def canary_ok(
 
 
 def decide_route(spec: RouteSpec, features: np.ndarray) -> RoutingDecision:
-    """The routing decision for one request under ``spec`` (pure function)."""
+    """The routing decision for one request under ``spec`` (pure function).
+
+    A request is selected when its :func:`canary_fraction` falls below the
+    route's fraction; ``split`` serves it from the shadow, ``mirror`` also
+    scores it there.
+    """
     if not spec.has_shadow:
         return RoutingDecision()
-    policy = make_router_policy(spec.policy)
-    return policy.decide(canary_fraction(spec.seed, features), spec.fraction)
+    selected = canary_fraction(spec.seed, features) < spec.fraction
+    if spec.policy == "split":
+        return RoutingDecision(serve_shadow=selected)
+    return RoutingDecision(mirror_shadow=selected)

@@ -38,11 +38,16 @@ from .store import ModelStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..api import LocalizationResult, LocalizationService
 
-__all__ = ["Gateway", "percentile"]
+__all__ = ["Gateway", "LATENCY_WINDOW", "percentile"]
 
 #: Selectors that name one immutable version forever (``@v2`` / ``@2``) —
 #: refs using them never need re-validation against the manifest.
 _VERSION_SELECTOR_RE = re.compile(r"v?\d+")
+
+#: Recent request latencies kept for an exact p50/p99 by each endpoint's
+#: stats and each shadow-route arm (bounds ``/metrics`` memory; the counters
+#: see every request).
+LATENCY_WINDOW = 1024
 
 
 def percentile(samples: List[float], q: float) -> Optional[float]:

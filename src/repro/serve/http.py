@@ -44,7 +44,7 @@ import urllib.parse
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -55,15 +55,9 @@ from ..obs.metrics import MetricsRegistry
 # Codec calls go through the module (``protocol.<name>``), never a
 # from-import, so that patching the module's functions reaches every call.
 from .aio import protocol
-from .aio.routing import (
-    RouteSpec,
-    RoutingDecision,
-    ShadowStats,
-    decide_route,
-    parse_route_value,
-)
+from .aio.routing import RouteSpec, ShadowStats, decide_route, parse_route_value
 from .batching import MicroBatcher
-from .gateway import Gateway, _ms, percentile
+from .gateway import LATENCY_WINDOW, Gateway, _ms, percentile
 from .store import ModelStore, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,11 +121,6 @@ def _flag_count(result: Any) -> int:
     return int(flags.sum()) if flags is not None else 0
 
 
-#: Recent request latencies each endpoint keeps for its exact p50/p99/max
-#: (bounds ``/metrics`` memory; the counters see every request).
-LATENCY_WINDOW = 1024
-
-
 class EndpointStats:
     """Request counters and latency stats of one served endpoint.
 
@@ -140,8 +129,8 @@ class EndpointStats:
     registry series (``repro_endpoint_*`` labeled by endpoint), so
     ``as_dict()`` and the Prometheus exposition show the same numbers.  The
     latency *window* (exact nearest-rank p50/p99 over the last
-    :data:`LATENCY_WINDOW` requests) stays local — fixed histogram buckets
-    cannot reproduce it.
+    :data:`~repro.serve.gateway.LATENCY_WINDOW` requests) stays local —
+    fixed histogram buckets cannot reproduce it.
     """
 
     def __init__(self, registry: MetricsRegistry, endpoint: str) -> None:
@@ -409,37 +398,76 @@ class ServingApp:
 
     async def localize_document(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Handle a decoded ``POST /v1/localize`` body; returns the response."""
-        import asyncio
-
         endpoint, features, probabilities = protocol.parse_localize_payload(payload)
-        spec = self.route_specs.get(endpoint)
         stats = self.shadow_stats.get(endpoint)
-        decision = (
-            decide_route(spec, features)
-            if spec is not None and spec.has_shadow
-            else RoutingDecision()
-        )
-        target = spec.shadow if decision.serve_shadow else endpoint
-        start = time.perf_counter()
-        result = await self._score(target, features)
-        elapsed = time.perf_counter() - start
-        if stats is not None:
-            stats.record_request(decision)
-            if decision.serve_shadow:
-                stats.record_arm("shadow", elapsed, len(result), _flag_count(result))
-            elif decision.mirror_shadow:
-                stats.record_arm("primary", elapsed, len(result), _flag_count(result))
-                task = asyncio.get_running_loop().create_task(
-                    self._mirror(spec, stats, features, result)
-                )
-                self._shadow_tasks.add(task)
-                task.add_done_callback(self._shadow_tasks.discard)
+        if stats is None:
+            target = endpoint
+            result = await self._score(endpoint, features)
+        else:
+            target, result = await self._score_shadowed(endpoint, stats, features)
         # ``ref`` is the *pinned immutable version* the response came from
         # (``knn@v2``), the field clients watch to observe a hot promote flip.
         # The gateway stamps it at scoring time — re-reading the pin here
         # could race a concurrent promote and tear the response.
         ref = result.served_ref or self.gateway.resolved_version(target)
         return protocol.build_localize_document(endpoint, ref, result, probabilities)
+
+    async def _score_shadowed(
+        self, endpoint: str, stats: ShadowStats, features: np.ndarray
+    ) -> Tuple[str, Any]:
+        """Route one request of a shadowed endpoint and record it in ``stats``.
+
+        Returns the ref that scored it and its result.  A shadow-served
+        request that fails is recorded before the client gets its error;
+        under ``split`` every request the primary serves feeds the primary
+        arm, under ``mirror`` only the mirrored ones (a paired comparison).
+        """
+        import asyncio
+
+        spec = stats.spec
+        decision = decide_route(spec, features)
+        target = spec.shadow if decision.serve_shadow else endpoint
+        start = time.perf_counter()
+        try:
+            result = await self._score(target, features)
+        except Exception as error:
+            if decision.serve_shadow:
+                stats.record_request(decision)
+                self._record_shadow_failure(stats, start, features, error)
+            raise
+        elapsed = time.perf_counter() - start
+        stats.record_request(decision)
+        if decision.serve_shadow:
+            stats.record_arm("shadow", elapsed, len(result), _flag_count(result))
+        elif decision.mirror_shadow or spec.policy == "split":
+            stats.record_arm("primary", elapsed, len(result), _flag_count(result))
+        if decision.mirror_shadow:
+            task = asyncio.get_running_loop().create_task(
+                self._mirror(spec, stats, features, result)
+            )
+            self._shadow_tasks.add(task)
+            task.add_done_callback(self._shadow_tasks.discard)
+        return target, result
+
+    @staticmethod
+    def _record_shadow_failure(
+        stats: ShadowStats, start: float, features: np.ndarray, error: Exception
+    ) -> None:
+        """Record a shadow-scored request that raised.
+
+        The candidate's enforcing guard rejecting traffic is signal, not
+        noise: its flags count in the shadow arm so the canary comparison
+        sees the stricter guard.  Any other failure is a shadow error.
+        """
+        if isinstance(error, GuardRejectedError):
+            stats.record_arm(
+                "shadow",
+                time.perf_counter() - start,
+                features.shape[0],
+                len(error.flagged_indices),
+            )
+        else:
+            stats.record_shadow_error()
 
     async def _mirror(
         self,
@@ -452,19 +480,8 @@ class ServingApp:
         start = time.perf_counter()
         try:
             shadow_result = await self._score(spec.shadow, features)
-        except GuardRejectedError as error:
-            # The candidate's enforcing guard rejected traffic the primary
-            # served: that is signal, not noise — count the flags so the
-            # canary comparison sees the stricter guard.
-            stats.record_arm(
-                "shadow",
-                time.perf_counter() - start,
-                features.shape[0],
-                len(error.flagged_indices),
-            )
-            return
-        except Exception:
-            stats.record_shadow_error()
+        except Exception as error:
+            self._record_shadow_failure(stats, start, features, error)
             return
         stats.record_arm(
             "shadow",

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..eval.engine import ArtifactCache, default_cache_dir
 
 try:  # POSIX advisory locking for concurrent publishers; absent on Windows.
@@ -209,9 +210,7 @@ class ModelStore:
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n"
             )
 
-        # Reuse the cache's atomic temp-file + os.replace machinery so the
-        # library has exactly one atomic-write implementation.
-        self.artifacts._write_atomic(path, writer)
+        write_atomic(path, writer)
 
     def _version_from_entry(
         self, name: str, entry: Mapping[str, Any], tags: Mapping[str, int]

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 import pytest
 
 from repro.analysis import run_lint
-from repro.registry import available_lint_rules
+from repro.registry import LINT_RULES
 
 
 def lint_tree(tmp_path, files: Dict[str, str], rules: Optional[Sequence[str]] = None):
@@ -27,7 +27,7 @@ def lint_tree(tmp_path, files: Dict[str, str], rules: Optional[Sequence[str]] = 
 
 
 def test_all_five_rules_registered():
-    assert available_lint_rules() == ["R1", "R2", "R3", "R4", "R5"]
+    assert LINT_RULES.names() == ["R1", "R2", "R3", "R4", "R5"]
 
 
 # -- R1: determinism -----------------------------------------------------
@@ -367,26 +367,26 @@ def test_r5_flags_computed_names_whitespace_and_duplicates(tmp_path):
         tmp_path,
         {
             "defenses/bad.py": """\
-            from repro.registry import register_defense
+            from repro.registry import DEFENSES
 
             NAME = "computed"
 
-            @register_defense(NAME)
+            @DEFENSES.register(NAME)
             class A:
                 pass
 
-            @register_defense(" padded ")
+            @DEFENSES.register(" padded ")
             class B:
                 pass
 
-            @register_defense("twin")
+            @DEFENSES.register("twin")
             class C:
                 pass
             """,
             "defenses/other.py": """\
-            from repro.registry import register_defense
+            from repro.registry import DEFENSES
 
-            @register_defense("TWIN")
+            @DEFENSES.register("TWIN")
             class D:
                 pass
             """,
@@ -405,13 +405,13 @@ def test_r5_passes_literal_unique_names_and_aliases(tmp_path):
         tmp_path,
         {
             "defenses/good.py": """\
-            from repro.registry import register_defense, register_scenario
+            from repro.registry import DEFENSES, SCENARIOS
 
-            @register_defense("curriculum", aliases=("cal",))
+            @DEFENSES.register("curriculum", aliases=("cal",))
             class A:
                 pass
 
-            @register_scenario("curriculum")  # other registry: no clash
+            @SCENARIOS.register("curriculum")  # other registry: no clash
             class B:
                 pass
             """

@@ -169,7 +169,7 @@ class TestOneDimensionalInputs:
     """``perturb`` accepts a single fingerprint (1-D) as well as a batch."""
 
     @pytest.mark.parametrize(
-        "make_attack",
+        "build_attack",
         [
             lambda t: FGSMAttack(t),
             lambda t: PGDAttack(t, random_start=False),
@@ -177,11 +177,11 @@ class TestOneDimensionalInputs:
         ],
         ids=["fgsm", "pgd", "mim"],
     )
-    def test_single_fingerprint_matches_batch_row(self, features, labels, make_attack):
+    def test_single_fingerprint_matches_batch_row(self, features, labels, build_attack):
         """Regression: MIM crashed on 1-D input; now every attack must treat a
         lone fingerprint exactly like the corresponding one-row batch."""
         threat = ThreatModel(epsilon=0.2, phi_percent=50.0, seed=1)
-        attack = make_attack(threat)
+        attack = build_attack(threat)
         row = attack.perturb(features[2], labels[2], QuadraticVictim())
         assert row.shape == features[2].shape  # squeezed back to 1-D
         batch = attack.perturb(features[2:3], labels[2:3], QuadraticVictim())
@@ -200,7 +200,7 @@ class TestBatchedVsRowwiseIdentity:
     """
 
     @pytest.mark.parametrize(
-        "make_attack",
+        "build_attack",
         [
             lambda t: FGSMAttack(t),
             lambda t: PGDAttack(t, random_start=False),
@@ -208,9 +208,9 @@ class TestBatchedVsRowwiseIdentity:
         ],
         ids=["fgsm", "pgd", "mim"],
     )
-    def test_bitwise(self, features, labels, make_attack):
+    def test_bitwise(self, features, labels, build_attack):
         threat = ThreatModel(epsilon=0.3, phi_percent=50.0, seed=5)
-        attack = make_attack(threat)
+        attack = build_attack(threat)
         batched = attack.perturb(features, labels, QuadraticVictim())
         rowwise = np.stack(
             [

@@ -8,7 +8,6 @@ import pytest
 from repro.attacks import (
     FGSMAttack,
     MIMAttack,
-    MITMScenario,
     PGDAttack,
     SignalManipulationAttack,
     SignalSpoofingAttack,
@@ -17,7 +16,7 @@ from repro.attacks import (
     attack_dataset,
 )
 from repro.data import RSS_FLOOR_DBM
-from repro.registry import available_attacks, make_attack
+from repro.registry import ATTACKS
 
 
 class LinearVictim:
@@ -29,15 +28,15 @@ class LinearVictim:
 
 class TestRegistry:
     def test_contains_three_methods(self):
-        assert set(available_attacks("crafting")) == {"FGSM", "PGD", "MIM"}
+        assert set(ATTACKS.names("crafting")) == {"FGSM", "PGD", "MIM"}
 
     @pytest.mark.parametrize("name, cls", [("FGSM", FGSMAttack), ("pgd", PGDAttack), ("Mim", MIMAttack)])
     def test_make_attack_is_case_insensitive(self, name, cls):
-        assert isinstance(make_attack(name, ThreatModel()), cls)
+        assert isinstance(ATTACKS.create(name, ThreatModel()), cls)
 
     def test_unknown_method_raises(self):
         with pytest.raises(KeyError):
-            make_attack("CW", ThreatModel())
+            ATTACKS.create("CW", ThreatModel())
 
 
 class TestMITMVariants:
@@ -89,14 +88,16 @@ class TestMITMVariants:
         )
 
     def test_scenario_builder(self):
-        scenario = MITMScenario(ThreatModel(epsilon=0.1, phi_percent=10.0), variant="spoofing")
-        assert isinstance(scenario.build(), SignalSpoofingAttack)
-        scenario = MITMScenario(ThreatModel(), variant="manipulation")
-        assert isinstance(scenario.build(), SignalManipulationAttack)
+        """The registry builds each MITM variant by name, with its crafter."""
+        threat = ThreatModel(epsilon=0.1, phi_percent=10.0)
+        spoofing = ATTACKS.create("MITM-spoofing", threat, method="PGD")
+        assert isinstance(spoofing, SignalSpoofingAttack)
+        assert isinstance(spoofing.crafter, PGDAttack)
+        assert isinstance(ATTACKS.create("MITM-manipulation", threat), SignalManipulationAttack)
 
     def test_scenario_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            MITMScenario(ThreatModel(), variant="jamming").build()
+        with pytest.raises(KeyError):
+            ATTACKS.create("MITM-jamming", ThreatModel())
 
 
 class TestAttackDataset:

@@ -15,7 +15,7 @@ from repro.baselines import (
     WiDeepLocalizer,
 )
 from repro.interfaces import DifferentiableLocalizer
-from repro.registry import LOCALIZERS, make_localizer
+from repro.registry import LOCALIZERS
 
 
 class TestRegistry:
@@ -24,12 +24,12 @@ class TestRegistry:
             assert name in LOCALIZERS.names(tag="baseline")
 
     def test_make_localizer_passes_kwargs(self):
-        model = make_localizer("DNN", epochs=5)
+        model = LOCALIZERS.create("DNN", epochs=5)
         assert model.epochs == 5
 
     def test_unknown_baseline_raises(self):
         with pytest.raises(KeyError):
-            make_localizer("ResNet")
+            LOCALIZERS.create("ResNet")
 
 
 class TestDNN:

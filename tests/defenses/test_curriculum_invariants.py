@@ -22,7 +22,7 @@ from repro.defenses import (
     DefenseError,
     LessonBuilder,
 )
-from repro.registry import make_localizer
+from repro.registry import LOCALIZERS
 
 #: Cheap constructor params per gradient-capable registry name.
 GRADIENT_CAPABLE = {
@@ -45,7 +45,7 @@ def fitted_models(tiny_campaign):
     """One fitted instance per gradient-capable localizer (shared, read-only)."""
     models = {}
     for name, params in GRADIENT_CAPABLE.items():
-        models[name] = make_localizer(name, **params).fit(tiny_campaign.train)
+        models[name] = LOCALIZERS.create(name, **params).fit(tiny_campaign.train)
     return models
 
 
@@ -133,7 +133,7 @@ class TestLessonBuilderPerModel:
 
 class TestCurriculumDefenseApplicability:
     def test_rejects_gradient_free_models(self, tiny_campaign):
-        knn = make_localizer("KNN", k=3)
+        knn = LOCALIZERS.create("KNN", k=3)
         with pytest.raises(DefenseError, match="gradient-capable"):
             CurriculumAdversarialDefense().wrap_training(knn, tiny_campaign.train)
 
@@ -141,7 +141,7 @@ class TestCurriculumDefenseApplicability:
     def test_hardens_every_neural_baseline(self, name, tiny_campaign):
         params = dict(GRADIENT_CAPABLE[name])
         params["epochs"] = 4
-        model = make_localizer(name, **params)
+        model = LOCALIZERS.create(name, **params)
         defense = CurriculumAdversarialDefense(num_lessons=3, epochs_per_lesson=1)
         fitted = defense.wrap_training(model, tiny_campaign.train)
         assert fitted is model
@@ -151,9 +151,9 @@ class TestCurriculumDefenseApplicability:
     def test_calloc_native_curriculum_is_bit_identical(self, tiny_campaign):
         """CALLOC under the defense is the unchanged native curriculum path."""
         params = GRADIENT_CAPABLE["CALLOC"]
-        undefended = make_localizer("CALLOC", **params).fit(tiny_campaign.train)
+        undefended = LOCALIZERS.create("CALLOC", **params).fit(tiny_campaign.train)
         defended = CurriculumAdversarialDefense().wrap_training(
-            make_localizer("CALLOC", **params), tiny_campaign.train
+            LOCALIZERS.create("CALLOC", **params), tiny_campaign.train
         )
         test = tiny_campaign.test_for("S7").features
         np.testing.assert_array_equal(

@@ -14,17 +14,12 @@ from repro.defenses import (
     NoDefense,
     PGDAdversarialTrainingDefense,
 )
-from repro.registry import (
-    DEFENSES,
-    RegistryError,
-    available_defenses,
-    make_defense,
-)
+from repro.registry import DEFENSES, RegistryError
 
 
 class TestDefenseRegistry:
     def test_all_families_registered(self):
-        assert set(available_defenses()) >= {
+        assert set(DEFENSES.names()) >= {
             "none",
             "curriculum",
             "pgd-adversarial",
@@ -33,30 +28,30 @@ class TestDefenseRegistry:
         }
 
     def test_make_defense_builds_instances(self):
-        assert isinstance(make_defense("curriculum"), CurriculumAdversarialDefense)
-        assert isinstance(make_defense("pgd-adversarial"), PGDAdversarialTrainingDefense)
-        assert isinstance(make_defense("input-noise"), InputNoiseDefense)
-        assert isinstance(make_defense("detector"), FingerprintDetectorDefense)
-        assert isinstance(make_defense("none"), NoDefense)
+        assert isinstance(DEFENSES.create("curriculum"), CurriculumAdversarialDefense)
+        assert isinstance(DEFENSES.create("pgd-adversarial"), PGDAdversarialTrainingDefense)
+        assert isinstance(DEFENSES.create("input-noise"), InputNoiseDefense)
+        assert isinstance(DEFENSES.create("detector"), FingerprintDetectorDefense)
+        assert isinstance(DEFENSES.create("none"), NoDefense)
 
     def test_aliases_and_case_insensitivity(self):
         assert isinstance(
-            make_defense("curriculum-adversarial"), CurriculumAdversarialDefense
+            DEFENSES.create("curriculum-adversarial"), CurriculumAdversarialDefense
         )
-        assert isinstance(make_defense("randomized-smoothing"), InputNoiseDefense)
-        assert isinstance(make_defense("ADVERSARIAL-TRAINING"), PGDAdversarialTrainingDefense)
-        assert isinstance(make_defense("undefended"), NoDefense)
+        assert isinstance(DEFENSES.create("randomized-smoothing"), InputNoiseDefense)
+        assert isinstance(DEFENSES.create("ADVERSARIAL-TRAINING"), PGDAdversarialTrainingDefense)
+        assert isinstance(DEFENSES.create("undefended"), NoDefense)
 
     def test_unknown_defense_raises_with_suggestion(self):
         with pytest.raises(RegistryError) as excinfo:
-            make_defense("curiculum")
+            DEFENSES.create("curiculum")
         assert "unknown defense" in str(excinfo.value)
         assert "curriculum" in str(excinfo.value)
 
     def test_tags_partition_families(self):
-        training = available_defenses(tag="training")
+        training = DEFENSES.names(tag="training")
         assert "curriculum" in training and "detector" not in training
-        assert available_defenses(tag="inference") == ["detector"]
+        assert DEFENSES.names(tag="inference") == ["detector"]
 
     def test_catalog_entries(self):
         catalog = DEFENSES.catalog()
@@ -65,11 +60,11 @@ class TestDefenseRegistry:
         assert all(entry["summary"] for entry in catalog)
 
     def test_hook_flags(self):
-        assert make_defense("curriculum").hardens_training
-        assert not make_defense("curriculum").guards_inference
-        detector = make_defense("detector")
+        assert DEFENSES.create("curriculum").hardens_training
+        assert not DEFENSES.create("curriculum").guards_inference
+        detector = DEFENSES.create("detector")
         assert detector.guards_inference and not detector.hardens_training
-        none = make_defense("none")
+        none = DEFENSES.create("none")
         assert not none.hardens_training and not none.guards_inference
 
 

@@ -26,23 +26,23 @@ from repro.eval.robustness import (
     UnseenDeviceScenario,
     stable_seed,
 )
-from repro.registry import SCENARIOS, available_scenarios, make_scenario
+from repro.registry import SCENARIOS
 
 
 class TestRegistry:
     def test_at_least_five_scenario_families(self):
-        names = available_scenarios()
+        names = SCENARIOS.names()
         assert len(names) >= 5
         assert set(DEFAULT_SCENARIOS) <= set(names)
 
     def test_lookup_is_case_insensitive_and_alias_aware(self):
-        assert isinstance(make_scenario("Drift"), TemporalDriftScenario)
-        assert isinstance(make_scenario("outage"), APOutageScenario)
-        assert isinstance(make_scenario("lodo"), UnseenDeviceScenario)
+        assert isinstance(SCENARIOS.create("Drift"), TemporalDriftScenario)
+        assert isinstance(SCENARIOS.create("outage"), APOutageScenario)
+        assert isinstance(SCENARIOS.create("lodo"), UnseenDeviceScenario)
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
-            make_scenario("earthquake")
+            SCENARIOS.create("earthquake")
 
     def test_entries_carry_tags(self):
         assert "environment" in SCENARIOS.entry("drift").tags

@@ -26,7 +26,7 @@ from repro.eval.metrics import error_stats
 from repro.eval.runner import EvaluationRecord, ResultSet
 from repro.eval.scenarios import AttackScenario, EvaluationConfig
 from repro.interfaces import Localizer
-from repro.registry import make_attack, make_localizer
+from repro.registry import ATTACKS, LOCALIZERS
 
 __all__ = ["ExperimentRunner", "spec_factories"]
 
@@ -37,7 +37,7 @@ def spec_factories(
     """Label → zero-argument factory of every model of ``spec`` under ``config``."""
     return {
         model.display_name: functools.partial(
-            make_localizer, model.name, **model_params(model, config)
+            LOCALIZERS.create, model.name, **model_params(model, config)
         )
         for model in spec.models
     }
@@ -111,7 +111,7 @@ class ExperimentRunner:
             phi_percent=scenario.phi_percent,
             seed=scenario.seed,
         )
-        attack = make_attack(scenario.method, threat)
+        attack = ATTACKS.create(scenario.method, threat)
         if isinstance(attack, SignalSpoofingAttack) and attack.replay_features is None:
             # The spoofer's counterfeit baseline comes from its own offline
             # survey of the building, never from the batch under attack.

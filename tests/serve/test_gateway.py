@@ -14,8 +14,7 @@ import pytest
 
 from repro.api import LocalizationService
 from repro.serve import Gateway, ModelStore, ServingApp, StoreError
-from repro.serve.gateway import percentile
-from repro.serve.http import LATENCY_WINDOW
+from repro.serve.gateway import LATENCY_WINDOW, percentile
 
 
 @pytest.fixture()

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
+from contextlib import closing
+
 import numpy as np
 import pytest
 
-from repro.registry import ROUTER_POLICIES, available_router_policies, make_router_policy
+from repro.api import LocalizationService
+from repro.defenses import DefenseSpec, GuardRejectedError
+from repro.serve import ModelStore, ServingApp
 from repro.serve.aio.routing import (
     RouteSpec,
     RoutingDecision,
@@ -15,6 +20,7 @@ from repro.serve.aio.routing import (
     decide_route,
     parse_route,
 )
+from repro.serve.gateway import LATENCY_WINDOW
 
 
 class TestParseRoute:
@@ -51,6 +57,7 @@ class TestParseRoute:
             "ep=knn,shadow=knn@v2,fraction=1.5",
             "ep=knn,shadow=knn@v2,fraction=0",
             "ep=knn,shadow=knn@v2,policy=teleport",
+            "ep=knn,shadow=knn@v2,policy=canary-split",
             "ep=knn,shadow=knn@v2,seed=abc",
             "ep=knn,teleport=yes",
         ],
@@ -64,6 +71,13 @@ class TestParseRoute:
             RouteSpec(ref="")
         with pytest.raises(ValueError, match="never receive traffic"):
             RouteSpec(ref="knn", shadow="knn@v2", fraction=0.0)
+
+    def test_policy_is_case_insensitive_and_stored_lowercase(self):
+        _, spec = parse_route("ep=knn@prod,shadow=knn@v2,policy=Split")
+        assert spec.policy == "split"
+        assert RouteSpec(ref="a", shadow="b", fraction=0.5, policy="MIRROR").policy == "mirror"
+        with pytest.raises(ValueError, match="mirror or split"):
+            RouteSpec(ref="a", shadow="b", fraction=0.5, policy="shadow-mirror")
 
     def test_as_dict_hides_shadow_keys_for_plain_routes(self):
         assert RouteSpec(ref="knn@prod").as_dict() == {"ref": "knn@prod"}
@@ -91,23 +105,27 @@ class TestCanaryFraction:
         assert 0.15 < below / len(values) < 0.35
 
 
-class TestPolicies:
-    def test_registry_lists_policies(self):
-        names = available_router_policies()
-        assert "mirror" in names and "split" in names
-        assert ROUTER_POLICIES.resolve("shadow-mirror") == "mirror"
+def _requests_around(seed: int, fraction: float):
+    """One request whose canary position falls below ``fraction``, one above."""
+    rows = np.arange(400, dtype=np.float64).reshape(100, 1, 4)
+    positions = [canary_fraction(seed, row) for row in rows]
+    hit = next(row for row, u in zip(rows, positions) if u < fraction)
+    miss = next(row for row, u in zip(rows, positions) if u >= fraction)
+    return hit, miss
 
+
+class TestPolicies:
     def test_mirror_serves_primary_and_mirrors_fraction(self):
-        policy = make_router_policy("mirror")
-        hit = policy.decide(0.05, 0.1)
-        miss = policy.decide(0.95, 0.1)
-        assert hit == RoutingDecision(serve_shadow=False, mirror_shadow=True)
-        assert miss == RoutingDecision(serve_shadow=False, mirror_shadow=False)
+        spec = RouteSpec(ref="knn", shadow="knn@v2", fraction=0.1, policy="mirror")
+        hit, miss = _requests_around(spec.seed, spec.fraction)
+        assert decide_route(spec, hit) == RoutingDecision(mirror_shadow=True)
+        assert decide_route(spec, miss) == RoutingDecision()
 
     def test_split_serves_shadow_for_fraction(self):
-        policy = make_router_policy("split")
-        assert policy.decide(0.05, 0.1).serve_shadow is True
-        assert policy.decide(0.95, 0.1).serve_shadow is False
+        spec = RouteSpec(ref="knn", shadow="knn@v2", fraction=0.1, policy="split")
+        hit, miss = _requests_around(spec.seed, spec.fraction)
+        assert decide_route(spec, hit) == RoutingDecision(serve_shadow=True)
+        assert decide_route(spec, miss) == RoutingDecision()
 
     def test_decide_route_plain_spec_never_shadows(self):
         decision = decide_route(RouteSpec(ref="knn"), np.ones((1, 4)))
@@ -123,7 +141,7 @@ class TestPolicies:
 class TestCanaryOk:
     def _document(self, **overrides):
         spec = RouteSpec(ref="knn@prod", shadow="knn@v2", fraction=0.5)
-        stats = ShadowStats("b1/knn", spec, window=64)
+        stats = ShadowStats("b1/knn", spec)
         for _ in range(60):
             stats.record_request(RoutingDecision(mirror_shadow=True))
             stats.record_arm("primary", 0.010, 4, 0)
@@ -167,8 +185,92 @@ class TestCanaryOk:
 class TestShadowStats:
     def test_bounded_windows(self):
         spec = RouteSpec(ref="a", shadow="b", fraction=0.5)
-        stats = ShadowStats("ep", spec, window=8)
-        for _ in range(50):
+        stats = ShadowStats("ep", spec)
+        for _ in range(LATENCY_WINDOW + 6):
             stats.record_arm("primary", 0.01, 1, 0)
-        assert len(stats.primary.latencies) == 8
-        assert stats.primary.requests == 50
+        assert len(stats.primary.latencies) == LATENCY_WINDOW
+        assert stats.primary.requests == LATENCY_WINDOW + 6
+
+
+@pytest.fixture()
+def split_store(tiny_campaign, tmp_path) -> ModelStore:
+    """``knn`` v1 (prod); v2, fitted on one AP fewer, fails every request; v3's
+    enforcing guard, calibrated with no headroom, rejects every request."""
+    store = ModelStore(tmp_path / "store")
+    train = tiny_campaign.train
+    store.publish(
+        LocalizationService("KNN", params={"k": 3}).fit(train), "knn", tags=("prod",)
+    )
+    narrow = train.with_rss(train.rss_dbm[:, :-1])
+    store.publish(LocalizationService("KNN", params={"k": 3}).fit(narrow), "knn")
+    strict = LocalizationService("KNN", params={"k": 3}).fit(train)
+    strict.attach_guard(
+        DefenseSpec.create("detector", params={"action": "reject", "margin": 1e-9}),
+        dataset=train,
+    )
+    store.publish(strict, "knn")
+    return store
+
+
+def _serve_one_by_one(app: ServingApp, endpoint: str, rows) -> list:
+    """Each row as its own request through the async path; outcomes in order."""
+
+    async def main():
+        outcomes = []
+        for row in rows:
+            try:
+                outcomes.append(
+                    await app.localize_document({"model": endpoint, "fingerprints": row})
+                )
+            except Exception as error:
+                outcomes.append(error)
+        return outcomes
+
+    return asyncio.run(main())
+
+
+class TestSplitAccounting:
+    """A ``split`` route feeds the canary gate what each arm actually served."""
+
+    def test_primary_served_requests_feed_the_primary_arm(self, split_store, tiny_campaign):
+        spec = RouteSpec(ref="knn@prod", shadow="knn@v1", fraction=0.5, policy="split")
+        rows = tiny_campaign.test_for("S7").features[:9, None, :]
+        served_by_shadow = sum(decide_route(spec, row).serve_shadow for row in rows)
+        assert 0 < served_by_shadow < len(rows)
+        with closing(ServingApp(split_store, routes={"b1/knn": spec})) as app:
+            _serve_one_by_one(app, "b1/knn", rows)
+            document = app.metrics_document()["shadow"]["b1/knn"]
+        assert document["requests"] == len(rows)
+        assert document["shadow_served"] == served_by_shadow
+        assert document["shadow"]["requests"] == served_by_shadow
+        assert document["primary"]["requests"] == len(rows) - served_by_shadow
+        assert document["primary"]["latency_ms"]["p99"] is not None
+
+    def test_failed_shadow_served_requests_block_promotion(self, split_store, tiny_campaign):
+        spec = RouteSpec(ref="knn@v1", shadow="knn@v2", fraction=1.0, policy="split")
+        rows = tiny_campaign.test_for("S7").features[:5, None, :]
+        with closing(ServingApp(split_store, routes={"b1/knn": spec})) as app:
+            outcomes = _serve_one_by_one(app, "b1/knn", rows)
+            document = app.metrics_document()["shadow"]["b1/knn"]
+        assert all(isinstance(outcome, ValueError) for outcome in outcomes)
+        assert document["shadow_served"] == 5
+        assert document["shadow_errors"] == 5
+        assert document["shadow"]["errors"] == 5
+        ok, reasons = canary_ok(document, min_requests=0)
+        assert not ok and any("5 error(s)" in reason for reason in reasons)
+
+    def test_guard_rejected_shadow_served_requests_count_their_flags(
+        self, split_store, tiny_campaign
+    ):
+        spec = RouteSpec(ref="knn@v1", shadow="knn@v3", fraction=1.0, policy="split")
+        rows = tiny_campaign.test_for("S7").features[:5, None, :]
+        with closing(ServingApp(split_store, routes={"b1/knn": spec})) as app:
+            outcomes = _serve_one_by_one(app, "b1/knn", rows)
+            document = app.metrics_document()["shadow"]["b1/knn"]
+        assert all(isinstance(outcome, GuardRejectedError) for outcome in outcomes)
+        assert document["shadow_served"] == 5
+        assert document["shadow_errors"] == 0
+        assert document["shadow"]["fingerprints"] == 5
+        assert document["shadow"]["flagged_rate"] == 1.0
+        ok, reasons = canary_ok(document, min_requests=0)
+        assert not ok and any("flagged rate" in reason for reason in reasons)

@@ -21,7 +21,7 @@ from repro.eval import AttackScenario, EvaluationConfig, fig6_spec
 from repro.eval.metrics import error_stats
 from repro.eval.runner import EvaluationRecord, ResultSet
 from repro.interfaces import ErrorSummary
-from repro.registry import make_localizer
+from repro.registry import LOCALIZERS
 
 from oracle import ExperimentRunner
 
@@ -52,12 +52,12 @@ class TestModelSpec:
 
     def test_factory_merges_profile_defaults_and_overrides(self):
         config = SMALL_CONFIG
-        dnn = make_localizer("DNN", **model_params(ModelSpec("DNN"), config))
+        dnn = LOCALIZERS.create("DNN", **model_params(ModelSpec("DNN"), config))
         assert dnn.epochs == config.baseline_epochs
         assert dnn.seed == config.model_seed
         overridden = model_params(ModelSpec("DNN", params={"epochs": 2}), config)
         assert overridden == {"epochs": 2, "seed": config.model_seed}
-        assert make_localizer("DNN", **overridden).epochs == 2
+        assert LOCALIZERS.create("DNN", **overridden).epochs == 2
 
     def test_default_params_cover_calloc(self):
         params = default_model_params("CALLOC", SMALL_CONFIG)

@@ -9,22 +9,12 @@ from repro.attacks.fgsm import FGSMAttack
 from repro.attacks.mitm import SignalManipulationAttack, SignalSpoofingAttack
 from repro.baselines import KNNLocalizer
 from repro.core import CALLOC
-from repro.registry import (
-    ATTACKS,
-    LOCALIZERS,
-    Registry,
-    RegistryError,
-    available_attacks,
-    available_localizers,
-    make_attack,
-    make_localizer,
-    register_localizer,
-)
+from repro.registry import ATTACKS, LOCALIZERS, Registry, RegistryError
 
 
 class TestGlobalRegistries:
     def test_every_paper_model_is_registered(self):
-        names = available_localizers()
+        names = LOCALIZERS.names()
         assert "CALLOC" in names
         for baseline in (
             "KNN", "NaiveBayes", "GPC", "DNN", "CNN",
@@ -33,37 +23,37 @@ class TestGlobalRegistries:
             assert baseline in names
 
     def test_every_attack_is_registered(self):
-        names = available_attacks()
+        names = ATTACKS.names()
         assert set(names) >= {"FGSM", "PGD", "MIM", "MITM-manipulation", "MITM-spoofing"}
 
     def test_tags_partition_localizers(self):
-        assert available_localizers(tag="framework") == ["CALLOC"]
-        assert "CALLOC" not in available_localizers(tag="baseline")
-        assert "KNN" in available_localizers(tag="baseline")
+        assert LOCALIZERS.names(tag="framework") == ["CALLOC"]
+        assert "CALLOC" not in LOCALIZERS.names(tag="baseline")
+        assert "KNN" in LOCALIZERS.names(tag="baseline")
 
     def test_make_localizer_passes_kwargs(self):
-        model = make_localizer("KNN", k=3)
+        model = LOCALIZERS.create("KNN", k=3)
         assert isinstance(model, KNNLocalizer)
         assert model.k == 3
 
     def test_lookup_is_case_insensitive(self):
-        assert isinstance(make_localizer("calloc", epochs_per_lesson=1), CALLOC)
-        assert isinstance(make_attack("fgsm", ThreatModel()), FGSMAttack)
+        assert isinstance(LOCALIZERS.create("calloc", epochs_per_lesson=1), CALLOC)
+        assert isinstance(ATTACKS.create("fgsm", ThreatModel()), FGSMAttack)
 
     def test_attack_aliases(self):
-        attack = make_attack("spoofing", ThreatModel())
+        attack = ATTACKS.create("spoofing", ThreatModel())
         assert isinstance(attack, SignalSpoofingAttack)
-        attack = make_attack("manipulation", ThreatModel())
+        attack = ATTACKS.create("manipulation", ThreatModel())
         assert isinstance(attack, SignalManipulationAttack)
 
     def test_unknown_name_raises_keyerror_with_suggestion(self):
         with pytest.raises(KeyError) as excinfo:
-            make_localizer("KNNN")
+            LOCALIZERS.create("KNNN")
         message = str(excinfo.value)
         assert "unknown localizer 'KNNN'" in message
         assert "KNN" in message
         with pytest.raises(RegistryError):
-            make_attack("CW", ThreatModel())
+            ATTACKS.create("CW", ThreatModel())
 
     def test_entries_carry_docstring_summaries(self):
         entry = LOCALIZERS.entry("CALLOC")
@@ -75,8 +65,17 @@ class TestGlobalRegistries:
         assert "KNN" in LOCALIZERS
         assert "knn" in LOCALIZERS
         assert "ResNet" not in LOCALIZERS
-        assert list(LOCALIZERS) == available_localizers()
-        assert len(LOCALIZERS) == len(available_localizers())
+        assert list(LOCALIZERS) == LOCALIZERS.names()
+        assert len(LOCALIZERS) == len(LOCALIZERS.names())
+
+    def test_register_is_global(self):
+        sentinel = object()
+        try:
+            LOCALIZERS.register("___test-model___", lambda: sentinel)
+            assert LOCALIZERS.create("___test-model___") is sentinel
+        finally:
+            LOCALIZERS._entries.pop("___test-model___", None)
+            LOCALIZERS._lookup.pop("___test-model___", None)
 
 
 class TestRegistryMechanics:
@@ -105,30 +104,4 @@ class TestRegistryMechanics:
         registry.register("Alpha", factory)
         with pytest.raises(RegistryError):
             registry.register("Alpha", lambda: "second")
-        registry.register("Alpha", lambda: "second", override=True)
-        assert registry.create("Alpha") == "second"
-
-    def test_as_dict_filters_by_tag(self):
-        registry = Registry("widget")
-        registry.register("A", lambda: "a", tags=("one",))
-        registry.register("B", lambda: "b", tags=("two",))
-        assert set(registry.as_dict()) == {"A", "B"}
-        assert set(registry.as_dict(tag="one")) == {"A"}
-
-
-class TestLegacyShims:
-    def test_make_localizer_builds_registered_baselines(self):
-        model = make_localizer("KNN", k=7)
-        assert isinstance(model, KNNLocalizer)
-        assert model.k == 7
-        with pytest.raises(KeyError):
-            make_localizer("ResNet")
-
-    def test_register_localizer_decorator_is_global(self):
-        sentinel = object()
-        try:
-            register_localizer("___test-model___", lambda: sentinel)
-            assert make_localizer("___test-model___") is sentinel
-        finally:
-            LOCALIZERS._entries.pop("___test-model___", None)
-            LOCALIZERS._lookup.pop("___test-model___", None)
+        assert registry.create("Alpha") == "first"
