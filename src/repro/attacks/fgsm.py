@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..registry import ATTACKS
-from .base import Attack, GradientProvider, ThreatModel
+from .base import Attack, GradientProvider
 
 __all__ = ["FGSMAttack"]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Linear, Module, MultiHeadAttention, ReLU, Tensor
+from ..nn import Linear, Module, MultiHeadAttention, Tensor
 from ..registry import LOCALIZERS
 from .neural import NeuralNetworkLocalizer
 

@@ -26,7 +26,6 @@ from ..interfaces import DifferentiableLocalizer
 from ..nn import CrossEntropyLoss, Tensor, no_grad
 from ..registry import LOCALIZERS
 from . import kernels
-from .adaptive import AdaptiveConfig
 from .model import CALLOCModel
 from .trainer import CALLOCTrainer, TrainerConfig, TrainingReport, input_loss_gradient
 

@@ -251,9 +251,6 @@ class DefenseSpec(ComponentSpec):
 # ----------------------------------------------------------------------
 # The baseline row of every defense matrix
 # ----------------------------------------------------------------------
-from ..registry import DEFENSES  # noqa: E402  (decorator use below)
-
-
 @DEFENSES.register("none", tags=("baseline",), aliases=("undefended",))
 class NoDefense(Defense):
     """No hardening at all: the undefended reference row of a defense matrix.

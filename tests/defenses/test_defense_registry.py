@@ -7,7 +7,6 @@ import pytest
 from repro.api import ExperimentSpec
 from repro.defenses import (
     CurriculumAdversarialDefense,
-    Defense,
     DefenseSpec,
     FingerprintDetectorDefense,
     InputNoiseDefense,

@@ -9,7 +9,6 @@ localization errors.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import CALLOC, localization_errors
 from repro.attacks import (
@@ -21,7 +20,7 @@ from repro.attacks import (
     attack_dataset,
 )
 from repro.baselines import DNNLocalizer, KNNLocalizer
-from repro.data import CampaignConfig, collect_campaign, save_dataset_csv, load_dataset_csv
+from repro.data import load_dataset_csv, save_dataset_csv
 from repro.registry import LOCALIZERS
 
 
